@@ -112,22 +112,3 @@ func runCritpath(args []string) {
 			h.Target, h.Subsystem, 100*h.Share, h.Gain)
 	}
 }
-
-// writeCritpathReport analyzes a drained flight session and writes the
-// markdown diagnosis next to a flight dump. Analysis failures are
-// reported, not fatal — the raw dump is the primary artifact.
-func writeCritpathReport(s *obs.Session, path string) {
-	rep, err := critpath.Analyze(s, critpath.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfeng: critpath:", err)
-		return
-	}
-	if err := writeFile(path, func(w io.Writer) error {
-		_, err := io.WriteString(w, rep.Markdown())
-		return err
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "perfeng:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "perfeng: wrote %s\n", path)
-}

@@ -10,6 +10,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,15 +19,7 @@ import (
 	"time"
 
 	"perfeng"
-	"perfeng/internal/cluster"
 	"perfeng/internal/flight"
-	"perfeng/internal/gpu"
-	"perfeng/internal/metrics"
-	"perfeng/internal/queuing"
-	"perfeng/internal/sched"
-	"perfeng/internal/simulator"
-	"perfeng/internal/telemetry"
-	"perfeng/internal/tune"
 )
 
 func runFlight(args []string) {
@@ -52,93 +46,52 @@ func runFlight(args []string) {
 		os.Exit(2)
 	}
 
-	objectives, err := flight.ParseObjectives(*slos)
-	if err != nil {
-		fatal(err)
-	}
 	app, err := perfeng.BuiltinApplication(*appName, *n, *workers)
 	if err != nil {
 		fatal(err)
 	}
-
-	// Same producer set serve enables, minus the HTTP surface.
-	reg := telemetry.NewRegistry()
-	metrics.EnableTelemetry(reg)
-	gpu.EnableTelemetry(reg)
-	cluster.EnableTelemetry(reg)
-	simulator.EnableTelemetry(reg)
-	queuing.EnableTelemetry(reg)
-	sched.EnableTelemetry(reg)
-	tune.EnableTelemetry(reg)
-	defer func() {
-		metrics.EnableTelemetry(nil)
-		gpu.EnableTelemetry(nil)
-		cluster.EnableTelemetry(nil)
-		simulator.EnableTelemetry(nil)
-		queuing.EnableTelemetry(nil)
-		sched.EnableTelemetry(nil)
-		tune.EnableTelemetry(nil)
-		tune.EnableTelemetry(nil)
-		sched.Observe(nil)
-	}()
-
-	rec := flight.NewRecorder(*capacity)
-	flight.Enable(rec)
-	defer flight.Enable(nil)
-
-	collector := telemetry.NewCollector(reg, 100*time.Millisecond)
-	collector.SetSink(rec)
-	collector.Start()
-	defer collector.Stop()
-
-	iterHist := reg.Histogram("perfeng_flight_iteration_seconds",
-		"Wall-clock duration of one captured workload iteration.", -30, 4)
-
-	for i := 1; i <= *iterations; i++ {
-		ws, err := newWiredSession("perfeng flight " + app.Name + " #" + strconv.Itoa(i))
-		if err != nil {
-			fatal(err)
-		}
-		start := rec.Now()
-		if err := runWorkload(ws, app, *ranks, *n); err != nil {
-			fatal(err)
-		}
-		dur := rec.Now() - start
-		rec.RecordSpan("host", "iteration", "", start, dur)
-		iterHist.ObserveExemplar(dur.Seconds(), telemetry.Exemplar{
-			Value: dur.Seconds(), Track: "host", Name: "iteration", Start: start, Dur: dur,
-		})
-		fmt.Printf("perfeng flight: iteration %d in %v\n", i, dur.Round(time.Millisecond))
-	}
-	collector.SampleOnce() // final pass, so derived gauges reflect the run
-
-	engine := flight.NewEngine(reg, rec, objectives, nil)
-	violations := engine.Check()
-	for _, v := range violations {
-		fmt.Fprintln(os.Stderr, "perfeng flight:", v.String())
-	}
-
-	// The dump carries the first violation's objective on the "slo"
-	// track (when any), linked to its exemplar interval.
-	var firstV *flight.Violation
-	if len(violations) > 0 {
-		firstV = &violations[0]
-	}
-	dump := engine.DumpSession("perfeng flight "+app.Name, firstV)
-	fmt.Printf("perfeng flight: black box holds %d records (%d captured in total)\n", rec.Len(), rec.Total())
-	if *tracePath != "" {
-		if err := writeFile(*tracePath, dump.WriteChromeTrace); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("perfeng flight: wrote %s\n", *tracePath)
-	}
-	if *foldedPath != "" {
-		if err := writeFile(*foldedPath, dump.WriteFolded); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("perfeng flight: wrote %s\n", *foldedPath)
+	violations, err := captureFlight(app, *ranks, *n, *iterations,
+		stackConfig{cmd: "flight", interval: 100 * time.Millisecond, capacity: *capacity, slos: *slos},
+		traceFiles{trace: *tracePath, folded: *foldedPath})
+	if err != nil {
+		fatal(err)
 	}
 	if *failOnSLO && len(violations) > 0 {
 		os.Exit(1)
 	}
+}
+
+// captureFlight runs the workload iterations times on a run stack
+// whose HTTP server never starts, checks the SLO objectives once (each
+// violation is reported on stderr) and drains the black box into
+// files. The dump carries the first violation's objective on the "slo"
+// track, linked to its exemplar interval.
+func captureFlight(app *perfeng.Application, ranks, n, iterations int, cfg stackConfig, files traceFiles) ([]flight.Violation, error) {
+	st, err := newRunStack(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer st.close(context.Background())
+	st.collector.Start()
+
+	for i := 1; i <= iterations; i++ {
+		dur, err := st.iterate("perfeng flight "+app.Name+" #"+strconv.Itoa(i), app, ranks, n)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("perfeng flight: iteration %d in %v\n", i, dur.Round(time.Millisecond))
+	}
+	st.collector.SampleOnce() // final pass, so derived gauges reflect the run
+
+	violations := st.engine.Check()
+	var firstV *flight.Violation
+	if len(violations) > 0 {
+		firstV = &violations[0]
+	}
+	dump := st.engine.DumpSession("perfeng flight "+app.Name, firstV)
+	fmt.Printf("perfeng flight: black box holds %d records (%d captured in total)\n", st.rec.Len(), st.rec.Total())
+	if !files.write(dump, "perfeng flight", os.Stdout) {
+		return violations, errors.New("flight dump incomplete")
+	}
+	return violations, nil
 }

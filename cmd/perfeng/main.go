@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -31,79 +32,79 @@ import (
 	"perfeng/internal/metrics"
 )
 
+// command is one perfeng subcommand: the usage text and the dispatcher
+// are both generated from the commands table.
+type command struct {
+	name, args, summary string
+	run                 func(args []string)
+}
+
+var commands = []command{
+	{"trace", "[flags]", "trace a kernel into Chrome-trace + folded stacks", runTrace},
+	{"serve", "[flags]", "loop a kernel behind live monitoring and the job API", runServe},
+	{"benchgate", "<mode>", "record/compare/gate benchmark baselines", runBenchgate},
+	{"vet", "[packages]", "statically check for performance antipatterns", runVet},
+	{"scaling", "[flags]", "smoke-test parallel speedup of the scheduler", runScaling},
+	{"flight", "[flags]", "capture a run in the flight recorder, check SLOs", runFlight},
+	{"tune", "[flags]", "search kernel configs, persist winners to TUNED.json", runTune},
+	{"critpath", "[flags]", "critical-path analysis of a trace, what-if speedups", runCritpath},
+	{"loadtest", "[flags]", "drive the job service with closed-loop clients", runLoadtest},
+}
+
+// writeUsage prints the command synopsis, one line per table entry.
+func writeUsage(w io.Writer) {
+	fmt.Fprintf(w, "usage: perfeng %-17s %s\n", "[flags]", "run the seven-stage process on a kernel")
+	for _, c := range commands {
+		fmt.Fprintf(w, "       perfeng %-17s %s\n", c.name+" "+c.args, c.summary)
+	}
+	fmt.Fprintln(w, "run 'perfeng <command> -help' for a command's flags")
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		runTrace(os.Args[2:])
-		return
+	os.Exit(dispatch(os.Args[1:], os.Stderr))
+}
+
+// dispatch runs the subcommand named by args[0], or the seven-stage
+// process when args is empty or starts with a flag. An unknown
+// subcommand prints the usage to stderr and returns exit status 2.
+func dispatch(args []string, stderr io.Writer) int {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		runEngagement(args)
+		return 0
 	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServe(os.Args[2:])
-		return
+	for _, c := range commands {
+		if c.name == args[0] {
+			c.run(args[1:])
+			return 0
+		}
 	}
-	if len(os.Args) > 1 && os.Args[1] == "benchgate" {
-		runBenchgate(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "vet" {
-		runVet(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scaling" {
-		runScaling(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "flight" {
-		runFlight(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "tune" {
-		runTune(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "critpath" {
-		runCritpath(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "loadtest" {
-		runLoadtest(os.Args[2:])
-		return
-	}
+	fmt.Fprintf(stderr, "perfeng: unknown command %q\n", args[0])
+	writeUsage(stderr)
+	return 2
+}
+
+func runEngagement(args []string) {
+	fs := flag.NewFlagSet("perfeng", flag.ExitOnError)
 	var (
-		appName  = flag.String("app", "matmul", "application kernel (see -list)")
-		n        = flag.Int("n", 256, "problem size")
-		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		machine  = flag.String("machine", "laptop", "machine model: laptop | das5 | calibrate")
-		speedup  = flag.Float64("speedup", 0, "require speedup >= this over the baseline")
-		runtime_ = flag.Float64("runtime", 0, "require best runtime <= this many seconds")
-		fraction = flag.Float64("fraction", 0, "require achieved/attainable >= this fraction")
-		quick    = flag.Bool("quick", false, "fast measurement protocol")
-		list     = flag.Bool("list", false, "list built-in applications and exit")
-		csvPath  = flag.String("csv", "", "write per-variant measurement summaries to this CSV file")
+		appName  = fs.String("app", "matmul", "application kernel (see -list)")
+		n        = fs.Int("n", 256, "problem size")
+		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		machine  = fs.String("machine", "laptop", "machine model: laptop | das5 | calibrate")
+		speedup  = fs.Float64("speedup", 0, "require speedup >= this over the baseline")
+		runtime_ = fs.Float64("runtime", 0, "require best runtime <= this many seconds")
+		fraction = fs.Float64("fraction", 0, "require achieved/attainable >= this fraction")
+		quick    = fs.Bool("quick", false, "fast measurement protocol")
+		list     = fs.Bool("list", false, "list built-in applications and exit")
+		csvPath  = fs.String("csv", "", "write per-variant measurement summaries to this CSV file")
 	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: perfeng [flags]           run the seven-stage process on a kernel")
-		fmt.Fprintln(os.Stderr, "       perfeng trace [flags]     trace a kernel into Chrome-trace + folded stacks")
-		fmt.Fprintln(os.Stderr, "                                 (perfeng trace -help for its flags)")
-		fmt.Fprintln(os.Stderr, "       perfeng serve [flags]     loop a kernel behind a live monitoring endpoint")
-		fmt.Fprintln(os.Stderr, "                                 (/metrics, /healthz, /debug/pprof/, /trace.json)")
-		fmt.Fprintln(os.Stderr, "       perfeng benchgate <mode>  record/compare/gate benchmark baselines")
-		fmt.Fprintln(os.Stderr, "                                 (perfeng benchgate -help for modes and flags)")
-		fmt.Fprintln(os.Stderr, "       perfeng vet [packages]    statically check for performance antipatterns")
-		fmt.Fprintln(os.Stderr, "                                 (perfeng vet -help for analyzers and flags)")
-		fmt.Fprintln(os.Stderr, "       perfeng scaling [flags]   smoke-test parallel speedup of the scheduler")
-		fmt.Fprintln(os.Stderr, "                                 (skips below -min-procs; perfeng scaling -help)")
-		fmt.Fprintln(os.Stderr, "       perfeng flight [flags]    capture a run in the flight recorder, check SLOs,")
-		fmt.Fprintln(os.Stderr, "                                 drain the black box (perfeng flight -help)")
-		fmt.Fprintln(os.Stderr, "       perfeng tune [flags]      search kernel configs, persist winners to TUNED.json")
-		fmt.Fprintln(os.Stderr, "                                 (Welch-t gated; perfeng tune -help)")
-		fmt.Fprintln(os.Stderr, "       perfeng critpath [flags]  causal critical-path analysis of a trace: wait-state")
-		fmt.Fprintln(os.Stderr, "                                 attribution + what-if speedups (perfeng critpath -help)")
-		fmt.Fprintln(os.Stderr, "       perfeng loadtest [flags]  hammer the job service with closed-loop clients and")
-		fmt.Fprintln(os.Stderr, "                                 gate on p99 + protocol (perfeng loadtest -help)")
+	fs.Usage = func() {
+		writeUsage(os.Stderr)
 		fmt.Fprintln(os.Stderr, "flags:")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println(strings.Join(perfeng.BuiltinApplications(), "\n"))

@@ -10,9 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"time"
@@ -86,37 +84,14 @@ func runScaling(args []string) {
 	}
 	if failed {
 		if rec != nil {
-			dumpScalingFlight(rec, *dumpDir)
+			// The dump ships its own diagnosis: which category of wait
+			// ate the speedup, straight from the same black box.
+			s := rec.BuildSession("perfeng scaling flight dump")
+			dumpFiles(*dumpDir).write(s, "perfeng scaling", os.Stderr)
 		}
 		fmt.Fprintln(os.Stderr, "perfeng scaling: FAIL — parallel slower than sequential")
 		os.Exit(1)
 	}
-}
-
-// dumpScalingFlight drains the smoke run's black box so CI can attach
-// it to the failing job.
-func dumpScalingFlight(rec *flight.Recorder, dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "perfeng:", err)
-		return
-	}
-	s := rec.BuildSession("perfeng scaling flight dump")
-	for _, out := range []struct {
-		path  string
-		write func(w io.Writer) error
-	}{
-		{filepath.Join(dir, "flight.trace.json"), s.WriteChromeTrace},
-		{filepath.Join(dir, "flight.profile.folded"), s.WriteFolded},
-	} {
-		if err := writeFile(out.path, out.write); err != nil {
-			fmt.Fprintln(os.Stderr, "perfeng:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "perfeng scaling: wrote %s\n", out.path)
-		}
-	}
-	// The causal diagnosis rides along: which category of wait ate the
-	// speedup, straight from the same black box.
-	writeCritpathReport(s, filepath.Join(dir, "flight.critpath.md"))
 }
 
 // scalingCase pairs a sequential kernel with its scheduler-parallel

@@ -1,199 +1,26 @@
 // The serve subcommand: run the instrumented workload in a loop behind
-// a live monitoring endpoint. One telemetry registry collects every
-// producer in the repo (runner, GPU device, cluster tracer, cache
-// simulator, queuing) plus the background runtime collector; the HTTP
-// server exposes it as OpenMetrics next to pprof and the current obs
-// session's timeline. An always-on flight recorder black-boxes every
-// producer, and an SLO engine watches named latency objectives — on
-// violation (or on demand via /debug/flight) the recent past drains to
-// a valid trace. SIGINT shuts down gracefully and, when asked, flushes
-// the last session as a valid trace.json.
+// a live monitoring endpoint. The run stack (stack.go) supplies the
+// registry, flight recorder and SLO engine; the HTTP server exposes the
+// registry as OpenMetrics next to pprof, the current obs session's
+// timeline and the job API. On an SLO violation (or on demand via
+// /debug/flight) the recent past drains to a valid trace. SIGINT shuts
+// down gracefully and, when asked, flushes the last session as a valid
+// trace.json.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
 
 	"perfeng"
-	"perfeng/internal/cluster"
-	"perfeng/internal/flight"
-	"perfeng/internal/gpu"
-	"perfeng/internal/metrics"
-	"perfeng/internal/obs"
-	"perfeng/internal/queuing"
-	"perfeng/internal/sched"
 	"perfeng/internal/serviced"
-	"perfeng/internal/simulator"
-	"perfeng/internal/telemetry"
-	"perfeng/internal/tune"
 )
-
-// serveStack bundles the pieces `perfeng serve` wires together; tests
-// build one around port :0 and tear it down with close.
-type serveStack struct {
-	reg       *telemetry.Registry
-	collector *telemetry.Collector
-	server    *telemetry.Server
-	sink      *obs.SessionSink
-	iters     *telemetry.Counter
-	iterHist  *telemetry.Histogram
-	rec       *flight.Recorder
-	engine    *flight.Engine
-	dumpDir   string
-}
-
-// newServeStack builds the registry, enables every producer on it, and
-// prepares the collector, flight recorder, SLO engine and HTTP server
-// (none started yet). slos is the comma-separated objective list (may
-// be empty); dumpDir, when non-empty, receives flight.trace.json +
-// flight.profile.folded on every (cooldown-limited) violation.
-func newServeStack(addr string, interval time.Duration, slos, dumpDir string) (*serveStack, error) {
-	objectives, err := flight.ParseObjectives(slos)
-	if err != nil {
-		return nil, err
-	}
-
-	reg := telemetry.NewRegistry()
-	metrics.EnableTelemetry(reg)
-	gpu.EnableTelemetry(reg)
-	cluster.EnableTelemetry(reg)
-	simulator.EnableTelemetry(reg)
-	queuing.EnableTelemetry(reg)
-	sched.EnableTelemetry(reg)
-	tune.EnableTelemetry(reg)
-
-	// The black box: every producer tee in wiring.go consults
-	// flight.Active(), so enabling here arms them all.
-	rec := flight.NewRecorder(0)
-	flight.Enable(rec)
-
-	sink := obs.NewSessionSink(nil)
-	collector := telemetry.NewCollector(reg, interval)
-	// Collector samples land in the live session's counter series AND
-	// the flight ring, from the same sampling pass.
-	collector.SetSink(telemetry.TeeSink(sink, rec))
-	server := telemetry.NewServer(addr, reg, func() telemetry.TraceSource {
-		// Return a typed nil as an untyped one so the endpoints 404
-		// cleanly before the first workload iteration attaches a session.
-		if s := sink.Current(); s != nil {
-			return s
-		}
-		return nil
-	})
-
-	st := &serveStack{
-		reg:       reg,
-		collector: collector,
-		server:    server,
-		sink:      sink,
-		iters: reg.Counter("perfeng_serve_iterations",
-			"Workload iterations completed under perfeng serve."),
-		iterHist: reg.Histogram("perfeng_serve_iteration_seconds",
-			"Wall-clock duration of one full workload iteration.", -30, 4),
-		rec:     rec,
-		dumpDir: dumpDir,
-	}
-	st.engine = flight.NewEngine(reg, rec, objectives, func(v flight.Violation) {
-		fmt.Fprintln(os.Stderr, "perfeng serve:", v.String())
-		st.dumpFlight(&v)
-	})
-
-	// On-demand black-box drain, next to the live-session endpoints.
-	server.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
-		s := st.engine.DumpSession("perfeng flight", nil)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", `attachment; filename="flight.trace.json"`)
-		if err := s.WriteChromeTrace(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	server.HandleFunc("/debug/flight.folded", func(w http.ResponseWriter, _ *http.Request) {
-		s := st.engine.DumpSession("perfeng flight", nil)
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := s.WriteFolded(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	return st, nil
-}
-
-// noteIteration records one finished workload iteration: a span in the
-// flight ring and an exemplar-carrying histogram observation, so an SLO
-// violation on the iteration latency links straight to the slowest
-// iteration's interval in the black box.
-func (st *serveStack) noteIteration(start, dur time.Duration) {
-	st.rec.RecordSpan("host", "iteration", "", start, dur)
-	secs := dur.Seconds()
-	st.iterHist.ObserveExemplar(secs, telemetry.Exemplar{
-		Value: secs, Track: "host", Name: "iteration", Start: start, Dur: dur,
-	})
-	st.iters.Inc()
-}
-
-// iterQuantiles returns the live p50/p95/p99 of the iteration latency
-// histogram for console output.
-func (st *serveStack) iterQuantiles() (p50, p95, p99 time.Duration) {
-	toDur := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	return toDur(st.iterHist.Quantile(0.50)),
-		toDur(st.iterHist.Quantile(0.95)),
-		toDur(st.iterHist.Quantile(0.99))
-}
-
-// dumpFlight drains the black box (stamped with v, if any) into
-// dumpDir as flight.trace.json + flight.profile.folded through the
-// standard obs exporters. No-op without a dump directory.
-func (st *serveStack) dumpFlight(v *flight.Violation) {
-	if st.dumpDir == "" {
-		return
-	}
-	if err := os.MkdirAll(st.dumpDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "perfeng:", err)
-		return
-	}
-	s := st.engine.DumpSession("perfeng flight dump", v)
-	tracePath := filepath.Join(st.dumpDir, "flight.trace.json")
-	if err := writeFile(tracePath, s.WriteChromeTrace); err != nil {
-		fmt.Fprintln(os.Stderr, "perfeng:", err)
-	} else {
-		fmt.Fprintf(os.Stderr, "perfeng serve: wrote %s\n", tracePath)
-	}
-	foldedPath := filepath.Join(st.dumpDir, "flight.profile.folded")
-	if err := writeFile(foldedPath, s.WriteFolded); err != nil {
-		fmt.Fprintln(os.Stderr, "perfeng:", err)
-	} else {
-		fmt.Fprintf(os.Stderr, "perfeng serve: wrote %s\n", foldedPath)
-	}
-	// A violation dump ships its own diagnosis: the critical path of the
-	// captured window, with wait-state attribution.
-	writeCritpathReport(s, filepath.Join(st.dumpDir, "flight.critpath.md"))
-}
-
-// close stops the SLO watcher, collector and server and detaches every
-// producer (including the flight recorder), so package-global telemetry
-// does not outlive the stack.
-func (st *serveStack) close(ctx context.Context) error {
-	st.engine.Stop()
-	st.collector.Stop()
-	err := st.server.Stop(ctx)
-	metrics.EnableTelemetry(nil)
-	gpu.EnableTelemetry(nil)
-	cluster.EnableTelemetry(nil)
-	simulator.EnableTelemetry(nil)
-	queuing.EnableTelemetry(nil)
-	sched.EnableTelemetry(nil)
-	tune.EnableTelemetry(nil)
-	sched.Observe(nil)
-	flight.Enable(nil)
-	return err
-}
 
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -232,12 +59,19 @@ func runServe(args []string) {
 		os.Exit(2)
 	}
 
-	app, err := perfeng.BuiltinApplication(*appName, *n, *workers)
-	if err != nil {
-		fatal(err)
+	// The kernel is built only when the loop will run it: a pure job
+	// daemon never touches it.
+	var app *perfeng.Application
+	if *loop {
+		var err error
+		if app, err = perfeng.BuiltinApplication(*appName, *n, *workers); err != nil {
+			fatal(err)
+		}
 	}
 
-	st, err := newServeStack(*addr, *interval, *slos, *flightDump)
+	st, err := newRunStack(stackConfig{
+		cmd: "serve", addr: *addr, interval: *interval, slos: *slos, dumpDir: *flightDump,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -277,27 +111,17 @@ func runServe(args []string) {
 	defer stop()
 
 	loopDone := make(chan error, 1)
-	namePrefix := "perfeng serve " + app.Name + " #"
 	runLoop := func() {
+		namePrefix := "perfeng serve " + app.Name + " #"
 		for i := 1; *iterations == 0 || i <= *iterations; i++ {
 			if ctx.Err() != nil {
 				break
 			}
-			ws, err := newWiredSession(namePrefix + strconv.Itoa(i))
+			dur, err := st.iterate(namePrefix+strconv.Itoa(i), app, *ranks, *n)
 			if err != nil {
 				loopDone <- err
 				return
 			}
-			// Swap the fresh session in before running, so scrapes and
-			// trace downloads during the iteration see live data.
-			st.sink.Set(ws.session)
-			iterStart := st.rec.Now()
-			if err := runWorkload(ws, app, *ranks, *n); err != nil {
-				loopDone <- err
-				return
-			}
-			dur := st.rec.Now() - iterStart
-			st.noteIteration(iterStart, dur)
 			p50, p95, p99 := st.iterQuantiles()
 			fmt.Printf("perfeng serve: iteration %d in %v; iteration_seconds p50=%v p95=%v p99=%v\n",
 				i, dur.Round(time.Millisecond),
@@ -329,20 +153,7 @@ func runServe(args []string) {
 	// Flush the current session before the stack goes away; exports take
 	// the session lock, so a workload iteration still finishing is fine.
 	if cur := st.sink.Current(); cur != nil {
-		if *tracePath != "" {
-			if err := writeFile(*tracePath, cur.WriteChromeTrace); err != nil {
-				fmt.Fprintln(os.Stderr, "perfeng:", err)
-			} else {
-				fmt.Printf("perfeng serve: wrote %s\n", *tracePath)
-			}
-		}
-		if *foldedPath != "" {
-			if err := writeFile(*foldedPath, cur.WriteFolded); err != nil {
-				fmt.Fprintln(os.Stderr, "perfeng:", err)
-			} else {
-				fmt.Printf("perfeng serve: wrote %s\n", *foldedPath)
-			}
-		}
+		traceFiles{trace: *tracePath, folded: *foldedPath}.write(cur, "perfeng serve", os.Stdout)
 	}
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -21,7 +21,7 @@ import (
 // stack, run one workload iteration through it, and scrape the
 // endpoints the way a monitoring system would.
 func TestServeStackSmoke(t *testing.T) {
-	st, err := newServeStack("127.0.0.1:0", time.Second, "", "")
+	st, err := newRunStack(stackConfig{cmd: "serve", addr: "127.0.0.1:0", interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +66,9 @@ func TestServeStackSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := newWiredSession("serve-test")
-	if err != nil {
+	if _, err := st.iterate("serve-test", app, 2, 48); err != nil {
 		t.Fatal(err)
 	}
-	st.sink.Set(ws.session)
-	if err := runWorkload(ws, app, 2, 48); err != nil {
-		t.Fatal(err)
-	}
-	st.iters.Inc()
 	st.collector.SampleOnce()
 
 	code, body := get("/metrics")
@@ -125,7 +119,9 @@ func TestServeStackSmoke(t *testing.T) {
 func TestServeFlightSLOViolation(t *testing.T) {
 	dir := t.TempDir()
 	const objective = "perfeng_serve_iteration_seconds.p99<1ns"
-	st, err := newServeStack("127.0.0.1:0", time.Second, objective, dir)
+	st, err := newRunStack(stackConfig{
+		cmd: "serve", addr: "127.0.0.1:0", interval: time.Second, slos: objective, dumpDir: dir,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +138,9 @@ func TestServeFlightSLOViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := newWiredSession("flight-slo-test")
-	if err != nil {
+	if _, err := st.iterate("flight-slo-test", app, 2, 48); err != nil {
 		t.Fatal(err)
 	}
-	st.sink.Set(ws.session)
-	iterStart := st.rec.Now()
-	if err := runWorkload(ws, app, 2, 48); err != nil {
-		t.Fatal(err)
-	}
-	st.noteIteration(iterStart, st.rec.Now()-iterStart)
 
 	// Any real iteration takes longer than 1ns, so the check violates.
 	vs := st.engine.Check()
@@ -193,8 +182,10 @@ func TestServeFlightSLOViolation(t *testing.T) {
 	if !schedSpans {
 		t.Fatal("dump carries no sched spans — producer tee not wired")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "flight.profile.folded")); err != nil {
-		t.Fatalf("folded dump missing: %v", err)
+	for _, name := range []string{"flight.profile.folded", "flight.critpath.md"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("dump file missing: %v", err)
+		}
 	}
 
 	// The on-demand endpoint drains the same black box.

@@ -49,17 +49,13 @@ func runTrace(args []string) {
 	// SIGINT flush: an interrupted run still writes a valid (partial)
 	// trace before exiting. Session exports take the session lock, so
 	// flushing here is safe against the workload mid-span.
+	files := traceFiles{trace: *tracePath, folded: *foldedPath}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt)
 	go func() {
 		<-sigc
 		fmt.Fprintln(os.Stderr, "perfeng trace: interrupted, flushing partial trace")
-		if err := writeFile(*tracePath, ws.session.WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "perfeng:", err)
-		}
-		if err := writeFile(*foldedPath, ws.session.WriteFolded); err != nil {
-			fmt.Fprintln(os.Stderr, "perfeng:", err)
-		}
+		files.write(ws.session, "perfeng trace", os.Stderr)
 		os.Exit(130)
 	}()
 
@@ -68,11 +64,8 @@ func runTrace(args []string) {
 	}
 	signal.Stop(sigc)
 
-	if err := writeFile(*tracePath, ws.session.WriteChromeTrace); err != nil {
-		fatal(err)
-	}
-	if err := writeFile(*foldedPath, ws.session.WriteFolded); err != nil {
-		fatal(err)
+	if !files.write(ws.session, "perfeng trace", io.Discard) {
+		os.Exit(1)
 	}
 
 	fmt.Print(ws.session.FlatReport())

@@ -1,9 +1,9 @@
-// Shared session wiring for the trace and serve subcommands: both run
-// the same instrumented workload — the optimization ladder, a measured
-// runner pass, a traced cluster round, a SIMT kernel launch, a cache
-// simulation and a queuing run — against an obs session built the same
-// way. trace does it once and writes files; serve loops it behind the
-// monitoring endpoint.
+// Shared session wiring for the trace, serve and flight subcommands:
+// all run the same instrumented workload — the optimization ladder, a
+// measured runner pass, a traced cluster round, a SIMT kernel launch, a
+// cache simulation and a queuing run — against an obs session built the
+// same way. trace does it once and writes files; serve loops it behind
+// the monitoring endpoint; flight captures it in the black box.
 package main
 
 import (

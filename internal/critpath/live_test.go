@@ -69,6 +69,10 @@ func TestLiveSchedSession(t *testing.T) {
 // producers are still appending to — the flight-recorder / monitoring
 // use case. Run under -race this is the snapshot-isolation proof.
 func TestAnalyzeWhileRecording(t *testing.T) {
+	// Writers stop at maxIters even if Analyze is still running: each
+	// analysis slows down as the session grows, so unbounded writers can
+	// outpace it until the process runs out of memory.
+	const maxIters = 1 << 12
 	s := obs.NewSession("concurrent")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -78,7 +82,7 @@ func TestAnalyzeWhileRecording(t *testing.T) {
 			defer wg.Done()
 			tr := s.Track("rank " + strconv.Itoa(w))
 			at := time.Duration(0)
-			for i := 0; ; i++ {
+			for i := 0; i < maxIters; i++ {
 				select {
 				case <-stop:
 					return

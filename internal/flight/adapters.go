@@ -2,97 +2,59 @@
 // producers (sched, gpu, cluster, profile) expose observer interfaces
 // and cannot import flight, so flight implements their interfaces and
 // forwards to an optional inner observer — one hook feeds the live
-// session and the black box at once. Every label a tee emits is
-// pre-interned at construction, keeping the record path 0 allocs/op.
+// session and the black box at once. Track labels come from obs's
+// interned lane names, keeping the record path 0 allocs/op.
 package flight
 
 import (
-	"fmt"
-	"strconv"
 	"time"
 
 	"perfeng/internal/cluster"
 	"perfeng/internal/gpu"
+	"perfeng/internal/obs"
 	"perfeng/internal/profile"
 	"perfeng/internal/sched"
 )
 
 // SchedTee implements sched.Observer: executed ranges land in the
-// recorder on "sched <executor>" tracks (matching obs.SchedObserver's
-// lanes) and forward to inner, if any. Attach with
-// sched.Observe(flight.NewSchedTee(rec, innerObserver)).
+// recorder on obs.SchedTrack lanes and forward to inner, if any. The
+// flat ring record keeps the submitting region's id in Value (the one
+// spare numeric slot), so sched spans in a drained black box still
+// group by region; full steal provenance travels through inner. Attach
+// with sched.Observe(flight.NewSchedTee(rec, innerObserver)).
 type SchedTee struct {
-	rec       *Recorder
-	inner     sched.Observer
-	innerProv sched.ProvenanceObserver // non-nil when inner wants provenance
-	tracks    map[string]string        // executor -> "sched <executor>", read-only
+	rec   *Recorder
+	inner sched.Observer
 }
 
 // NewSchedTee builds a tee over rec forwarding to inner (nil for none).
-// Track labels are pre-interned for the executors a default-sized pool
-// can name; an executor beyond the table falls back to concatenation
-// (one alloc, off the expected path).
 func NewSchedTee(rec *Recorder, inner sched.Observer) *SchedTee {
-	tracks := map[string]string{"caller": "sched caller"}
-	for i := 0; i < 4*maxProcs()+16; i++ {
-		e := "worker " + strconv.Itoa(i)
-		tracks[e] = "sched " + e
-	}
-	t := &SchedTee{rec: rec, inner: inner, tracks: tracks}
-	t.innerProv, _ = inner.(sched.ProvenanceObserver)
-	return t
+	return &SchedTee{rec: rec, inner: inner}
 }
 
 // TaskRan implements sched.Observer.
-func (t *SchedTee) TaskRan(executor string, pol sched.Policy, start time.Time, dur time.Duration) {
-	track, ok := t.tracks[executor]
-	if !ok {
-		track = "sched " + executor
-	}
-	t.rec.RecordSpan(track, "parfor", pol.String(), t.rec.At(start), dur)
-	if t.inner != nil {
-		t.inner.TaskRan(executor, pol, start, dur)
-	}
-}
-
-// TaskRanInfo implements sched.ProvenanceObserver: the flat ring record
-// keeps the submitting region's id in Value (the one spare numeric
-// slot), so sched spans in a drained black box still group by region;
-// full steal provenance travels through inner when it asks for it.
-func (t *SchedTee) TaskRanInfo(info sched.TaskInfo) {
-	track, ok := t.tracks[info.Executor]
-	if !ok {
-		track = "sched " + info.Executor
-	}
+func (t *SchedTee) TaskRan(info sched.TaskInfo) {
 	t.rec.Record(Record{
-		Kind: KindSpan, Track: track, Name: "parfor", Detail: info.Policy.String(),
+		Kind: KindSpan, Track: obs.SchedTrack(info.Executor), Name: "parfor", Detail: info.Policy.String(),
 		Start: t.rec.At(info.Start), Dur: info.Dur, Value: float64(info.Region),
 	})
-	switch {
-	case t.innerProv != nil:
-		t.innerProv.TaskRanInfo(info)
-	case t.inner != nil:
-		t.inner.TaskRan(info.Executor, info.Policy, info.Start, info.Dur)
+	if t.inner != nil {
+		t.inner.TaskRan(info)
 	}
 }
 
 // GPUTee implements gpu.Recorder: kernel launches become "gpu device"
-// spans, executed blocks land on "gpu sm N" tracks, both forwarded to
-// inner (typically obs.NewGPURecorder). Attach with
+// spans, executed blocks land on obs.GPUSMTrack lanes, both forwarded
+// to inner (typically obs.NewGPURecorder). Attach with
 // dev.Recorder = flight.NewGPUTee(rec, inner).
 type GPUTee struct {
 	rec   *Recorder
 	inner gpu.Recorder
-	sm    []string // worker -> "gpu sm N", read-only
 }
 
 // NewGPUTee builds a tee over rec forwarding to inner (nil for none).
 func NewGPUTee(rec *Recorder, inner gpu.Recorder) *GPUTee {
-	sm := make([]string, 4*maxProcs()+16)
-	for i := range sm {
-		sm[i] = "gpu sm " + strconv.Itoa(i)
-	}
-	return &GPUTee{rec: rec, inner: inner, sm: sm}
+	return &GPUTee{rec: rec, inner: inner}
 }
 
 // KernelLaunch implements gpu.Recorder.
@@ -105,25 +67,20 @@ func (t *GPUTee) KernelLaunch(name string, grid, block gpu.Dim3, sharedLen, work
 
 // KernelBlock implements gpu.Recorder.
 func (t *GPUTee) KernelBlock(name string, worker int, blockIdx gpu.Dim3, start, end time.Time) {
-	track := ""
-	if worker >= 0 && worker < len(t.sm) {
-		track = t.sm[worker]
-	} else {
-		track = fmt.Sprintf("gpu sm %d", worker)
-	}
-	t.rec.RecordSpan(track, "block", name, t.rec.At(start), end.Sub(start))
+	t.rec.RecordSpan(obs.GPUSMTrack(worker), "block", name, t.rec.At(start), end.Sub(start))
 	if t.inner != nil {
 		t.inner.KernelBlock(name, worker, blockIdx, start, end)
 	}
 }
 
 // ClusterListener returns a cluster.Tracer listener capturing every
-// recorded event on "rank N" tracks (matching obs.AddClusterTrace's
-// lanes). Attach with tracer.Listen(flight.ClusterListener(rec, size)).
+// recorded event on obs.RankTrack lanes. The world's labels are
+// resolved here, so recording stays 0 allocs/op at any size. Attach
+// with tracer.Listen(flight.ClusterListener(rec, size)).
 func ClusterListener(rec *Recorder, size int) func(rank int, e cluster.Event) {
 	labels := make([]string, size)
 	for i := range labels {
-		labels[i] = "rank " + strconv.Itoa(i)
+		labels[i] = obs.RankTrack(i)
 	}
 	return func(rank int, e cluster.Event) {
 		if rank < 0 || rank >= len(labels) {

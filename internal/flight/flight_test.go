@@ -83,9 +83,8 @@ func TestRecordPathAllocs(t *testing.T) {
 	}
 	tee := NewSchedTee(r, nil)
 	start := time.Now()
-	if a := testing.AllocsPerRun(1000, func() {
-		tee.TaskRan("worker 0", sched.PolicyStatic, start, time.Microsecond)
-	}); a != 0 {
+	info := sched.TaskInfo{Executor: "worker 0", Policy: sched.PolicyStatic, Start: start, Dur: time.Microsecond}
+	if a := testing.AllocsPerRun(1000, func() { tee.TaskRan(info) }); a != 0 {
 		t.Fatalf("SchedTee.TaskRan allocates: %v allocs/op", a)
 	}
 	lis := ClusterListener(r, 4)
@@ -169,7 +168,7 @@ func TestConcurrentRecordAndDrain(t *testing.T) {
 
 type innerSched struct{ n int }
 
-func (o *innerSched) TaskRan(string, sched.Policy, time.Time, time.Duration) { o.n++ }
+func (o *innerSched) TaskRan(sched.TaskInfo) { o.n++ }
 
 type innerGPU struct{ launches, blocks int }
 
@@ -183,7 +182,7 @@ func (g *innerGPU) KernelBlock(string, int, gpu.Dim3, time.Time, time.Time) { g.
 func TestTeesForward(t *testing.T) {
 	r := NewRecorder(0)
 	is := &innerSched{}
-	NewSchedTee(r, is).TaskRan("caller", sched.PolicyStatic, time.Now(), time.Microsecond)
+	NewSchedTee(r, is).TaskRan(sched.TaskInfo{Executor: "caller", Worker: -1, Start: time.Now(), Dur: time.Microsecond})
 	if is.n != 1 {
 		t.Fatal("sched tee did not forward")
 	}

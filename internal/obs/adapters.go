@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,61 @@ import (
 // the material the Scalasca-style wait-state analysis runs on), counter
 // event sets become sampled series, and SIMT kernel launches become
 // device-track spans with occupancy metadata.
+
+// Producer lane names. internal/flight's tees use the same functions,
+// so a live session and a drained black box put each producer on the
+// same track. Labels for the lanes a default-sized pool, device or
+// world can name are interned once at init, keeping the per-task and
+// per-block paths free of string building; others are built on demand.
+var (
+	internedLanes = 4*runtime.GOMAXPROCS(0) + 16
+	schedTracks   = func() map[string]string {
+		m := map[string]string{"caller": "sched caller"}
+		for i := 0; i < internedLanes; i++ {
+			e := "worker " + strconv.Itoa(i)
+			m[e] = "sched " + e
+		}
+		return m
+	}()
+	smTracks   = newLanes("gpu sm ")
+	rankTracks = newLanes("rank ")
+)
+
+// lanes names numbered tracks "<prefix>0", "<prefix>1", ….
+type lanes struct {
+	prefix string
+	names  []string // interned names of the first internedLanes lanes
+}
+
+func newLanes(prefix string) lanes {
+	l := lanes{prefix: prefix, names: make([]string, internedLanes)}
+	for i := range l.names {
+		l.names[i] = prefix + strconv.Itoa(i)
+	}
+	return l
+}
+
+func (l lanes) name(i int) string {
+	if i >= 0 && i < len(l.names) {
+		return l.names[i]
+	}
+	return l.prefix + strconv.Itoa(i)
+}
+
+// SchedTrack names the lane of a sched executor ("worker N" or
+// "caller"): "sched worker N", "sched caller".
+func SchedTrack(executor string) string {
+	if t, ok := schedTracks[executor]; ok {
+		return t
+	}
+	return "sched " + executor
+}
+
+// GPUSMTrack names the lane of a GPU device worker: "gpu sm N".
+func GPUSMTrack(worker int) string { return smTracks.name(worker) }
+
+// RankTrack names the lane of a cluster rank: "rank N".
+func RankTrack(rank int) string { return rankTracks.name(rank) }
 
 // ProfileListener returns a profile.SpanListener mirroring every region
 // exit onto the track, preserving the region stack for the folded
@@ -38,7 +94,7 @@ func (t *Track) ProfileListener() profile.SpanListener {
 func AddClusterTrace(s *Session, tr *cluster.Tracer) {
 	ws := tr.AnalyzeWaitStates()
 	for r := 0; r < tr.Size(); r++ {
-		t := s.Track("rank " + strconv.Itoa(r))
+		t := s.Track(RankTrack(r))
 		for _, e := range tr.Events(r) {
 			args := map[string]any{"bytes": e.Bytes}
 			if e.Peer >= 0 {
@@ -143,7 +199,7 @@ func (g *GPURecorder) KernelLaunch(name string, grid, block gpu.Dim3, sharedLen,
 
 // KernelBlock implements gpu.Recorder.
 func (g *GPURecorder) KernelBlock(name string, worker int, blockIdx gpu.Dim3, start, end time.Time) {
-	t := g.s.Track(fmt.Sprintf("gpu sm %d", worker))
+	t := g.s.Track(GPUSMTrack(worker))
 	t.AddSpanAt("block", []string{name}, start, end, map[string]any{
 		"blockIdx": fmt.Sprintf("(%d,%d,%d)", blockIdx.X, blockIdx.Y, blockIdx.Z),
 	})
@@ -153,7 +209,10 @@ func (g *GPURecorder) KernelBlock(name string, worker int, blockIdx gpu.Dim3, st
 // becomes a span on a per-executor track ("sched worker 0", …, plus
 // "sched caller" for ranges a submitter ran in its help loop), named by
 // scheduling policy — the timeline view of how evenly a parallel
-// region spread over the pool. Attach with sched.Observe(
+// region spread over the pool. The span carries the submitting
+// region's id and fork offset plus steal provenance, so an offline
+// analyzer (internal/critpath) can rebuild fork/join and steal edges
+// from the exported trace alone. Attach with sched.Observe(
 // obs.NewSchedObserver(session)) and detach with sched.Observe(nil).
 type SchedObserver struct {
 	s *Session
@@ -165,16 +224,7 @@ func NewSchedObserver(s *Session) *SchedObserver {
 }
 
 // TaskRan implements sched.Observer.
-func (o *SchedObserver) TaskRan(executor string, pol sched.Policy, start time.Time, dur time.Duration) {
-	off := o.s.At(start)
-	o.s.Track("sched "+executor).AddSpanOffsets("parfor/"+pol.String(), nil, off, off+dur, nil)
-}
-
-// TaskRanInfo implements sched.ProvenanceObserver: the span carries the
-// submitting region's id and fork offset plus steal provenance, so an
-// offline analyzer (internal/critpath) can rebuild fork/join and steal
-// edges from the exported trace alone.
-func (o *SchedObserver) TaskRanInfo(info sched.TaskInfo) {
+func (o *SchedObserver) TaskRan(info sched.TaskInfo) {
 	off := o.s.At(info.Start)
 	args := map[string]any{
 		"region":  info.Region,
@@ -183,7 +233,7 @@ func (o *SchedObserver) TaskRanInfo(info sched.TaskInfo) {
 		"stolen":  info.Stolen,
 		"fork_ns": int64(o.s.At(info.Forked)),
 	}
-	o.s.Track("sched "+info.Executor).AddSpanOffsets(
+	o.s.Track(SchedTrack(info.Executor)).AddSpanOffsets(
 		"parfor/"+info.Policy.String(), nil, off, off+info.Dur, args)
 }
 

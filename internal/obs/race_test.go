@@ -15,7 +15,11 @@ import (
 // export readers, not just the recording writers.
 func TestExportWhileRecording(t *testing.T) {
 	s := NewSession("race")
-	const writers = 4
+	// Each writer stops at maxIters even if the drainer is still
+	// running: exports slow down as the session grows, so unbounded
+	// writers can outpace the drainer until the process runs out of
+	// memory.
+	const writers, maxIters = 4, 1 << 9
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -27,7 +31,7 @@ func TestExportWhileRecording(t *testing.T) {
 			own := s.GoroutineTrack()
 			// Record before checking stop, so every writer lands at
 			// least one full iteration even if the drainer is quick.
-			for i := 0; ; i++ {
+			for i := 0; i < maxIters; i++ {
 				if err := own.Span("unit", func() {}); err != nil {
 					t.Error(err)
 					return

@@ -1,10 +1,11 @@
 // Observability hook: an Observer attached to a pool receives one
-// callback per executed range, labeled by executor, so a trace
-// timeline can show which executor ran which part of each parallel
-// region and how evenly the work spread. The obs package provides the
-// session adapter (obs.NewSchedObserver), following the same
-// producer-interface / obs-adapter split as gpu.Recorder — sched
-// cannot import obs without a cycle through the kernels.
+// callback per executed range, labeled by executor and carrying its
+// fork/join provenance, so a trace timeline can show which executor ran
+// which part of each parallel region and how evenly the work spread.
+// The obs package provides the session adapter (obs.NewSchedObserver)
+// and flight the black-box tee, following the same producer-interface /
+// adapter split as gpu.Recorder — sched cannot import obs without a
+// cycle through the kernels.
 package sched
 
 import (
@@ -15,21 +16,19 @@ import (
 // Observer receives executed-range events from a pool. Implementations
 // must be safe for concurrent use: workers report in parallel.
 type Observer interface {
-	// TaskRan reports that executor ran one range of a pol-scheduled
-	// region, starting at start and lasting dur. executor is
-	// "worker 0" … "worker N-1", or "caller" for ranges the submitter
-	// ran in its help loop.
-	TaskRan(executor string, pol Policy, start time.Time, dur time.Duration)
+	// TaskRan reports that info.Executor ran one range of a parallel
+	// region.
+	TaskRan(info TaskInfo)
 }
 
-// TaskInfo is the provenance-carrying form of a TaskRan event: enough
-// to reconstruct fork/join and steal edges from a trace. Every range
-// belongs to exactly one parallel region (one ParallelFor/Reduce call),
-// identified process-wide by Region; Forked is the instant the
-// submitter seeded that region, so Start-Forked bounds the range's
-// queue/steal latency.
+// TaskInfo is one executed range with enough provenance to reconstruct
+// fork/join and steal edges from a trace. Every range belongs to
+// exactly one parallel region (one ParallelFor/Reduce call), identified
+// process-wide by Region; Forked is the instant the submitter seeded
+// that region, so Start-Forked bounds the range's queue/steal latency.
 type TaskInfo struct {
-	// Executor is the TaskRan label: "worker N" or "caller".
+	// Executor is "worker 0" … "worker N-1", or "caller" for ranges the
+	// submitter ran in its help loop.
 	Executor string
 	// Worker is the executing worker id, or -1 for the submitter's
 	// help loop.
@@ -51,24 +50,8 @@ type TaskInfo struct {
 	Lo, Hi int
 }
 
-// ProvenanceObserver is the extension interface an Observer may
-// additionally implement to receive full fork/join provenance. Plain
-// Observer implementations keep working unchanged: the pool type-checks
-// once at Observe time and falls back to TaskRan.
-type ProvenanceObserver interface {
-	Observer
-	// TaskRanInfo replaces TaskRan (only one of the two is called per
-	// range) with the provenance-carrying event.
-	TaskRanInfo(info TaskInfo)
-}
-
-// observerBox lets an interface value live in an atomic.Pointer. The
-// provenance capability is resolved here, once, so the per-task path
-// pays no type assertion.
-type observerBox struct {
-	o  Observer
-	po ProvenanceObserver // nil when o is a plain Observer
-}
+// observerBox lets an interface value live in an atomic.Pointer.
+type observerBox struct{ o Observer }
 
 type obsCell = atomic.Pointer[observerBox]
 
@@ -79,9 +62,7 @@ func (p *Pool) Observe(o Observer) {
 		p.obs.Store(nil)
 		return
 	}
-	box := &observerBox{o: o}
-	box.po, _ = o.(ProvenanceObserver)
-	p.obs.Store(box)
+	p.obs.Store(&observerBox{o: o})
 }
 
 // Observe attaches o to the default pool (see Pool.Observe).
@@ -90,19 +71,14 @@ func Observe(o Observer) { Default().Observe(o) }
 // callerExecutor labels ranges run by the submitting goroutine.
 const callerExecutor = "caller"
 
-// observeTask reports one executed range to the attached observer,
-// with full provenance when the observer asked for it.
+// observeTask reports one executed range to the attached observer.
 func observeTask(box *observerBox, w *worker, t task, start time.Time, dur time.Duration) {
 	j := t.j
 	exec, wid := callerExecutor, -1
 	if w != nil {
 		exec, wid = w.obsName, w.id
 	}
-	if box.po == nil {
-		box.o.TaskRan(exec, j.pol, start, dur)
-		return
-	}
-	box.po.TaskRanInfo(TaskInfo{
+	box.o.TaskRan(TaskInfo{
 		Executor: exec,
 		Worker:   wid,
 		Origin:   t.origin,

@@ -384,22 +384,18 @@ func TestTelemetry(t *testing.T) {
 	}
 }
 
-// recordingObserver is a concurrency-safe Observer fake; the session
-// adapter itself is covered in the obs package's tests.
+// recordingObserver is a concurrency-safe Observer fake recording every
+// TaskInfo; the session adapter itself is covered in the obs package's
+// tests.
 type recordingObserver struct {
 	mu    sync.Mutex
-	execs map[string]int
-	pols  map[Policy]int
+	infos []TaskInfo
 }
 
-func (o *recordingObserver) TaskRan(executor string, pol Policy, start time.Time, dur time.Duration) {
+func (o *recordingObserver) TaskRan(info TaskInfo) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.execs == nil {
-		o.execs, o.pols = make(map[string]int), make(map[Policy]int)
-	}
-	o.execs[executor]++
-	o.pols[pol]++
+	o.infos = append(o.infos, info)
+	o.mu.Unlock()
 }
 
 func TestObserve(t *testing.T) {
@@ -413,49 +409,29 @@ func TestObserve(t *testing.T) {
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.execs) == 0 {
+	if len(rec.infos) == 0 {
 		t.Fatal("no TaskRan callbacks recorded")
 	}
-	if rec.pols[PolicyStealing] == 0 {
-		t.Error("no stealing-policy tasks observed")
-	}
-	for exec := range rec.execs {
-		if exec != "caller" && !strings.HasPrefix(exec, "worker ") {
-			t.Errorf("unexpected executor label %q", exec)
+	stealing := false
+	for _, info := range rec.infos {
+		stealing = stealing || info.Policy == PolicyStealing
+		if info.Executor != "caller" && !strings.HasPrefix(info.Executor, "worker ") {
+			t.Errorf("unexpected executor label %q", info.Executor)
 		}
 	}
-}
-
-// provenanceObserver records full TaskInfo events; TaskRan must never
-// fire on it (the pool resolves the capability once at Observe time).
-type provenanceObserver struct {
-	mu       sync.Mutex
-	infos    []TaskInfo
-	taskRans int
-}
-
-func (o *provenanceObserver) TaskRan(string, Policy, time.Time, time.Duration) {
-	o.mu.Lock()
-	o.taskRans++
-	o.mu.Unlock()
-}
-
-func (o *provenanceObserver) TaskRanInfo(info TaskInfo) {
-	o.mu.Lock()
-	o.infos = append(o.infos, info)
-	o.mu.Unlock()
+	if !stealing {
+		t.Error("no stealing-policy tasks observed")
+	}
 }
 
 // TestObserveProvenance checks the fork/join provenance contract: every
 // range carries the submitting region's id and fork time, distinct
 // regions get distinct ids, the executed ranges of one region tile
 // [0, n) exactly, and Stolen is consistent with Origin vs Worker.
-// recordingObserver (plain Observer, above) keeps compiling and running
-// unchanged, which is the source-compatibility half of the contract.
 func TestObserveProvenance(t *testing.T) {
 	p := New(2)
 	defer p.Close()
-	rec := &provenanceObserver{}
+	rec := &recordingObserver{}
 	p.Observe(rec)
 	defer p.Observe(nil)
 
@@ -465,11 +441,8 @@ func TestObserveProvenance(t *testing.T) {
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.taskRans != 0 {
-		t.Fatalf("TaskRan fired %d times on a ProvenanceObserver", rec.taskRans)
-	}
 	if len(rec.infos) == 0 {
-		t.Fatal("no TaskRanInfo callbacks recorded")
+		t.Fatal("no TaskRan callbacks recorded")
 	}
 	regions := make(map[uint64][]TaskInfo)
 	for _, info := range rec.infos {
