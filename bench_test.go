@@ -1009,7 +1009,8 @@ func BenchmarkFFT(b *testing.B) {
 	}
 }
 
-// BenchmarkGraph measures BFS and PageRank (graph-processing project).
+// BenchmarkGraph measures BFS, PageRank and the CSR transpose
+// (graph-processing project).
 func BenchmarkGraph(b *testing.B) {
 	g := kernels.RandomGraph(20000, 200000, 13)
 	b.Run("bfs", func(b *testing.B) {
@@ -1025,6 +1026,18 @@ func BenchmarkGraph(b *testing.B) {
 	b.Run("pagerank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink = kernels.PageRank(g, 0.85, 5)
+		}
+	})
+	// The pull variant perfengd serves: the per-call transpose included.
+	b.Run("pagerank-parallel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = kernels.PageRankParallel(g, 0.85, 5, 0)
+		}
+	})
+	b.Run("reverse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = g.Reverse()
 		}
 	})
 }

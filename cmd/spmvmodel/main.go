@@ -66,6 +66,7 @@ func main() {
 	for fi, fam := range families {
 		for _, n := range sizes {
 			for rep := 0; rep < seedsPerCell; rep++ {
+				//perfvet:ignore:allocattr each sample needs its own matrix; converting it is set-up outside the timed SpMV
 				csr := fam.gen(n, *seed+int64(fi*seedsPerCell+rep)).ToCSR()
 				x := kernels.UniformSamples(n, 3)
 				y := make([]float64, n)

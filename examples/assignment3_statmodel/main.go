@@ -35,6 +35,7 @@ func main() {
 	for fi, fam := range families {
 		for _, n := range []int{400, 800, 1600} {
 			for rep := 0; rep < 3; rep++ {
+				//perfvet:ignore:allocattr each sample needs its own matrix; converting it is set-up outside the timed SpMV
 				csr := fam.gen(n, int64(fi*100+rep)).ToCSR()
 				x := kernels.UniformSamples(n, 2)
 				y := make([]float64, n)

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -32,10 +33,32 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		if m.Rows <= 0 || m.Cols <= 0 {
 			t.Fatalf("accepted matrix with bad shape %dx%d", m.Rows, m.Cols)
 		}
-		// And must survive conversion.
+		// And must survive conversion: strictly increasing columns in every
+		// CSR row, and a CSC that is exactly the transpose of the CSR.
 		csr := m.ToCSR()
 		if int(csr.RowPtr[csr.Rows]) != csr.NNZ() {
 			t.Fatal("CSR row pointer inconsistent")
+		}
+		cells := make(map[[2]int32]uint64, csr.NNZ())
+		for r := 0; r < csr.Rows; r++ {
+			for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+				if k > csr.RowPtr[r] && csr.ColIdx[k] <= csr.ColIdx[k-1] {
+					t.Fatalf("CSR row %d columns not strictly increasing: %v", r, csr.ColIdx[csr.RowPtr[r]:csr.RowPtr[r+1]])
+				}
+				cells[[2]int32{int32(r), csr.ColIdx[k]}] = math.Float64bits(csr.Vals[k])
+			}
+		}
+		csc := m.ToCSC()
+		if csc.NNZ() != csr.NNZ() || int(csc.ColPtr[csc.Cols]) != csc.NNZ() {
+			t.Fatalf("CSC holds %d entries, CSR %d", csc.NNZ(), csr.NNZ())
+		}
+		for c := 0; c < csc.Cols; c++ {
+			for k := csc.ColPtr[c]; k < csc.ColPtr[c+1]; k++ {
+				v, ok := cells[[2]int32{csc.RowIdx[k], int32(c)}]
+				if !ok || v != math.Float64bits(csc.Vals[k]) {
+					t.Fatalf("CSC (%d,%d) = %v is not in the CSR", csc.RowIdx[k], c, csc.Vals[k])
+				}
+			}
 		}
 	})
 }

@@ -2,9 +2,39 @@ package kernels
 
 import (
 	"math"
+	"math/rand"
+	"runtime/debug"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// buildGraphRef is the comparison-sort CSR construction BuildGraph
+// replaced, kept as the oracle: sort the edge list by (src, dst), then
+// count the rows.
+func buildGraphRef(n int, edges [][2]int32) *Graph {
+	sorted := append([][2]int32(nil), edges...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i][0] != sorted[j][0] {
+			return sorted[i][0] < sorted[j][0]
+		}
+		return sorted[i][1] < sorted[j][1]
+	})
+	g := &Graph{N: n, Offset: make([]int32, n+1), Edges: make([]int32, len(sorted))}
+	for i, e := range sorted {
+		g.Offset[e[0]+1]++
+		g.Edges[i] = e[1]
+	}
+	for v := 0; v < n; v++ {
+		g.Offset[v+1] += g.Offset[v]
+	}
+	return g
+}
+
+func sameGraph(a, b *Graph) bool {
+	return a.N == b.N && slices.Equal(a.Offset, b.Offset) && slices.Equal(a.Edges, b.Edges)
+}
 
 func TestBuildGraph(t *testing.T) {
 	g := BuildGraph(4, [][2]int32{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
@@ -100,13 +130,77 @@ func TestPageRankParallelMatchesSequential(t *testing.T) {
 }
 
 func TestReverse(t *testing.T) {
-	g := BuildGraph(3, [][2]int32{{0, 1}, {1, 2}})
+	g := BuildGraph(4, [][2]int32{{0, 1}, {1, 2}, {3, 1}, {0, 1}, {2, 2}})
 	r := g.Reverse()
-	if r.Degree(1) != 1 || r.Degree(2) != 1 || r.Degree(0) != 0 {
-		t.Fatalf("reverse degrees wrong")
+	want := &Graph{N: 4, Offset: []int32{0, 0, 3, 5, 5}, Edges: []int32{0, 0, 3, 1, 2}}
+	if !sameGraph(r, want) {
+		t.Fatalf("reverse = %+v, want %+v", r, want)
 	}
-	if r.Reverse().M() != g.M() {
-		t.Fatal("double reverse changed edge count")
+	if rr := r.Reverse(); !sameGraph(rr, g) {
+		t.Fatalf("double reverse = %+v, want %+v", rr, g)
+	}
+}
+
+// FuzzBuildGraph decodes bytes into an edge list over n vertices: the
+// first byte picks n, every following byte pair is one edge. Self-loops,
+// duplicate edges and isolated vertices all occur. BuildGraph and Reverse
+// must match the sort-based oracle exactly, and reversing twice must give
+// back the graph.
+func FuzzBuildGraph(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 64
+		var edges [][2]int32
+		for i := 1; n > 0 && i+1 < len(data); i += 2 {
+			edges = append(edges, [2]int32{int32(int(data[i]) % n), int32(int(data[i+1]) % n)})
+		}
+		g := BuildGraph(n, edges)
+		if want := buildGraphRef(n, edges); !sameGraph(g, want) {
+			t.Fatalf("BuildGraph(%d, %v) = %+v, oracle %+v", n, edges, g, want)
+		}
+		flipped := make([][2]int32, len(edges))
+		for i, e := range edges {
+			flipped[i] = [2]int32{e[1], e[0]}
+		}
+		r := g.Reverse()
+		if want := buildGraphRef(n, flipped); !sameGraph(r, want) {
+			t.Fatalf("Reverse = %+v, oracle %+v", r, want)
+		}
+		if rr := r.Reverse(); !sameGraph(rr, g) {
+			t.Fatalf("double reverse = %+v, want %+v", rr, g)
+		}
+	})
+}
+
+var graphSink *Graph
+
+// allocsPerRun is testing.AllocsPerRun with the collector off: a GC cycle
+// started by a large build can add a runtime allocation of its own, which
+// would be charged to the function under test.
+func allocsPerRun(f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(5, f)
+}
+
+// TestGraphBuildAllocs pins the allocation count of the CSR builders at
+// two graph sizes: a counting sort allocates the graph, its two arrays and
+// one cursor, never an intermediate edge list.
+func TestGraphBuildAllocs(t *testing.T) {
+	for _, n := range []int{100, 20000} {
+		rng := rand.New(rand.NewSource(7))
+		edges := make([][2]int32, 10*n)
+		for i := range edges {
+			edges[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+		}
+		g := BuildGraph(n, edges)
+		if a := allocsPerRun(func() { graphSink = BuildGraph(n, edges) }); a != 4 {
+			t.Errorf("n=%d: BuildGraph allocates %v times, want 4", n, a)
+		}
+		if a := allocsPerRun(func() { graphSink = g.Reverse() }); a != 4 {
+			t.Errorf("n=%d: Reverse allocates %v times, want 4", n, a)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package kernels
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"perfeng/internal/tune"
 )
@@ -65,38 +66,43 @@ type CSC struct {
 // NNZ returns the number of stored non-zeros.
 func (m *CSC) NNZ() int { return len(m.Vals) }
 
-// ToCSR converts the COO matrix to CSR. Duplicate entries are summed, as the
-// Matrix Market convention expects.
+// ToCSR converts the COO matrix to CSR with column indices strictly
+// increasing within each row. Duplicate entries are summed, as the Matrix
+// Market convention expects, in their input order: ((v0 + v1) + v2) for
+// three entries of one cell. A counting sort buckets the triplets by row
+// in O(Rows+NNZ), then each row is stable-sorted by column on its own.
 func (m *COO) ToCSR() *CSR {
-	type trip struct {
-		r, c int32
-		v    float64
+	type entry struct {
+		c int32
+		v float64
 	}
-	ts := make([]trip, m.NNZ())
-	for i := range m.Vals {
-		ts[i] = trip{m.RowIdx[i], m.ColIdx[i], m.Vals[i]}
+	rp := make([]int32, m.Rows+1)
+	for _, r := range m.RowIdx {
+		rp[r+1]++
 	}
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].r != ts[j].r {
-			return ts[i].r < ts[j].r
-		}
-		return ts[i].c < ts[j].c
-	})
-	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int32, m.Rows+1)}
-	for i := 0; i < len(ts); {
-		j := i
-		v := 0.0
-		for j < len(ts) && ts[j].r == ts[i].r && ts[j].c == ts[i].c {
-			v += ts[j].v
-			j++
-		}
-		out.ColIdx = append(out.ColIdx, ts[i].c)
-		out.Vals = append(out.Vals, v)
-		out.RowPtr[ts[i].r+1]++
-		i = j
+	cursor := rowStarts(rp)
+	es := make([]entry, m.NNZ())
+	for i, r := range m.RowIdx {
+		es[cursor[r]] = entry{m.ColIdx[i], m.Vals[i]}
+		cursor[r]++
 	}
+	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: rp,
+		ColIdx: make([]int32, 0, len(es)), Vals: make([]float64, 0, len(es))}
+	lo := rp[0]
 	for r := 0; r < m.Rows; r++ {
-		out.RowPtr[r+1] += out.RowPtr[r]
+		hi := rp[r+1]
+		row := es[lo:hi]
+		slices.SortStableFunc(row, func(a, b entry) int { return cmp.Compare(a.c, b.c) })
+		for k := 0; k < len(row); {
+			c, v := row[k].c, 0.0
+			for ; k < len(row) && row[k].c == c; k++ {
+				v += row[k].v
+			}
+			out.ColIdx = append(out.ColIdx, c)
+			out.Vals = append(out.Vals, v)
+		}
+		rp[r+1] = int32(len(out.ColIdx)) // row r+1 still starts at hi in es
+		lo = hi
 	}
 	return out
 }

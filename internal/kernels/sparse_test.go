@@ -78,19 +78,38 @@ func TestFormatConversionsPreserveValues(t *testing.T) {
 }
 
 func TestDuplicatesSummed(t *testing.T) {
-	m := &COO{Rows: 2, Cols: 2,
-		RowIdx: []int32{0, 0, 1},
-		ColIdx: []int32{1, 1, 0},
-		Vals:   []float64{2, 3, 4}}
+	// Row 2 holds two cells whose sums depend on the order of addition,
+	// their triplets interleaved and out of column order. ToCSR sums in
+	// input order: (1e16 + 1) + -1e16 = 0 and (1e16 + -1e16) + 1 = 1.
+	m := &COO{Rows: 3, Cols: 2,
+		RowIdx: []int32{0, 0, 1, 2, 2, 2, 2, 2, 2},
+		ColIdx: []int32{1, 1, 0, 1, 0, 1, 0, 1, 0},
+		Vals:   []float64{2, 3, 4, 1e16, 1e16, -1e16, 1, 1, -1e16}}
 	csr := m.ToCSR()
-	if csr.NNZ() != 2 {
-		t.Fatalf("NNZ after dedup = %d, want 2", csr.NNZ())
+	if csr.NNZ() != 4 {
+		t.Fatalf("NNZ after dedup = %d, want 4", csr.NNZ())
 	}
 	x := []float64{1, 1}
-	y := make([]float64, 2)
+	y := make([]float64, 3)
 	SpMVCSR(csr, x, y)
 	if y[0] != 5 || y[1] != 4 {
-		t.Fatalf("y = %v, want [5 4]", y)
+		t.Fatalf("y = %v, want [5 4 ...]", y)
+	}
+	if got := csr.Vals[2:]; got[0] != 0 || got[1] != 1 {
+		t.Fatalf("row 2 = %v, want [0 1] (input-order sums)", got)
+	}
+}
+
+var csrSink *CSR
+
+// TestToCSRAllocs pins ToCSR's allocation count at two matrix sizes: the
+// counting sort never allocates per row or per non-zero.
+func TestToCSRAllocs(t *testing.T) {
+	for _, n := range []int{100, 20000} {
+		m := RandomSparse(n, n, 10*n, 7)
+		if a := allocsPerRun(func() { csrSink = m.ToCSR() }); a != 6 {
+			t.Errorf("n=%d: ToCSR allocates %v times, want 6", n, a)
+		}
 	}
 }
 
