@@ -926,7 +926,8 @@ func BenchmarkPolyhedral(b *testing.B) {
 
 // ---- additional workload benches referenced by EXPERIMENTS.md ----
 
-// BenchmarkStencil measures the project kernel sequential vs parallel.
+// BenchmarkStencil measures the project kernel sequential vs parallel,
+// plus the shape perfbench's jobs-kernel workload serves.
 func BenchmarkStencil(b *testing.B) {
 	g := kernels.HotBoundaryGrid(256)
 	b.Run("sequential", func(b *testing.B) {
@@ -940,28 +941,39 @@ func BenchmarkStencil(b *testing.B) {
 			kernels.StencilRun(g, 4, 0)
 		}
 	})
+	served := kernels.HotBoundaryGrid(512)
+	b.Run("parallel/n=512,sweeps=8,w=2", func(b *testing.B) {
+		b.SetBytes(int64(kernels.StencilBytes(512) * 8))
+		for i := 0; i < b.N; i++ {
+			sink = kernels.StencilRun(served, 8, 2)
+		}
+	})
 }
 
 // BenchmarkGameOfLife measures the second most popular project kernel.
 // Shape: the padded stepper beats the modulo stepper by hoisting the torus
-// wraparound out of the inner loop.
+// wraparound out of the inner loop, and the parallel rung runs the padded
+// stepper over row bands. Run and RunPadded reuse their receiver as a
+// ping-pong buffer, so every iteration restarts from a copy of the same
+// board: all variants see the same input, not one that drifted towards a
+// sparse state over earlier iterations.
 func BenchmarkGameOfLife(b *testing.B) {
-	board := kernels.RandomLife(256, 256, 0.3, 11)
-	b.Run("sequential-modulo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			board.Run(4, 1)
+	bench := func(start *kernels.Life, run func(*kernels.Life) *kernels.Life) func(*testing.B) {
+		return func(b *testing.B) {
+			board := kernels.NewLife(start.W, start.H)
+			for i := 0; i < b.N; i++ {
+				copy(board.Cells, start.Cells)
+				sink = run(board)
+			}
 		}
-	})
-	b.Run("sequential-padded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			board.RunPadded(4)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			board.Run(4, 0)
-		}
-	})
+	}
+	start := kernels.RandomLife(256, 256, 0.3, 11)
+	b.Run("sequential-modulo", bench(start, func(l *kernels.Life) *kernels.Life { return l.Run(4, 1) }))
+	b.Run("sequential-padded", bench(start, func(l *kernels.Life) *kernels.Life { return l.RunPadded(4) }))
+	b.Run("parallel", bench(start, func(l *kernels.Life) *kernels.Life { return l.Run(4, 0) }))
+	// The shape perfbench's jobs-kernel workload serves.
+	served := kernels.RandomLife(192, 192, 0.3, 11)
+	b.Run("parallel/n=192,w=2", bench(served, func(l *kernels.Life) *kernels.Life { return l.Run(8, 2) }))
 }
 
 // BenchmarkCachePolicySweep ablates the replacement policy on the cyclic

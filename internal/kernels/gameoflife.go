@@ -112,36 +112,41 @@ func (b *Life) Step(dst *Life) {
 	}
 }
 
-// StepParallel computes one generation with row bands split over the
-// shared scheduler.
+// StepParallel computes one generation into dst like StepPadded, with
+// the rows split over the shared scheduler: the torus halo is filled into
+// a padded scratch once, then row bands are computed from it in parallel.
+// workers > 0 pins that many static row bands; workers <= 0 uses the
+// pool's dynamic stealing policy (see parFor). Each call allocates its own
+// pad; Run reuses one across generations.
 func (b *Life) StepParallel(dst *Life, workers int) {
-	src, out, width := b.Cells, dst.Cells, b.W
-	parFor(b.H, workers, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			for x := 0; x < width; x++ {
-				n := b.neighbours(x, y)
-				alive := src[y*width+x] == 1
-				if alive && (n == 2 || n == 3) || !alive && n == 3 {
-					out[y*width+x] = 1
-				} else {
-					out[y*width+x] = 0
-				}
-			}
-		}
-	})
+	pad := make([]uint8, b.padLen())
+	b.fillPad(pad)
+	parFor(b.H, workers, func(lo, hi int) { padRows(pad, dst, lo, hi) })
 }
 
-// Run advances the board g generations (workers <= 1 sequential) and
-// returns the final board.
+// Run advances the board g generations and returns the final board.
+// Generations ping-pong between b and one new board, so b is overwritten
+// when generations >= 2 (and is itself the result when generations is
+// even). workers == 1 runs the modulo stepper, Step, which is the course's
+// sequential baseline. Any other value runs the padded stepper in parallel
+// as StepParallel does, with one pad shared by every generation:
+// workers > 0 pins that many row bands and workers <= 0 (0 = GOMAXPROCS)
+// uses the dynamic pool.
 func (b *Life) Run(generations, workers int) *Life {
-	src := b
-	dst := NewLife(b.W, b.H)
-	for g := 0; g < generations; g++ {
-		if workers > 1 {
-			src.StepParallel(dst, workers)
-		} else {
+	src, dst := b, NewLife(b.W, b.H)
+	if workers == 1 {
+		for g := 0; g < generations; g++ {
 			src.Step(dst)
+			src, dst = dst, src
 		}
+		return src
+	}
+	pad := make([]uint8, b.padLen())
+	// rows reads dst when it runs, so one closure serves every generation.
+	rows := func(lo, hi int) { padRows(pad, dst, lo, hi) }
+	for g := 0; g < generations; g++ {
+		src.fillPad(pad)
+		parFor(b.H, workers, rows)
 		src, dst = dst, src
 	}
 	return src
@@ -158,20 +163,31 @@ func (b *Life) Glider(x, y int) {
 // StepPadded computes one generation using a padded scratch board instead
 // of per-neighbour modulo arithmetic — the classic "hoist the wraparound
 // out of the inner loop" optimization step in the Game-of-Life project
-// ladder. Semantically identical to Step.
+// ladder. Semantically identical to Step. scratch is reused when it is
+// large enough; the pad actually used is returned for the next call.
 func (b *Life) StepPadded(dst *Life, scratch []uint8) []uint8 {
-	w, h := b.W, b.H
-	pw := w + 2
-	need := pw * (h + 2)
+	need := b.padLen()
 	if cap(scratch) < need {
 		scratch = make([]uint8, need)
 	}
 	pad := scratch[:need]
-	// Interior copy.
+	b.fillPad(pad)
+	padRows(pad, dst, 0, b.H)
+	return pad
+}
+
+// padLen is the size of the (W+2) x (H+2) pad that fillPad fills.
+func (b *Life) padLen() int { return (b.W + 2) * (b.H + 2) }
+
+// fillPad copies the board into the interior of pad (padLen cells,
+// row-major) and fills its one-cell halo ring with the opposite edges,
+// so the torus is implemented once, outside the hot loop.
+func (b *Life) fillPad(pad []uint8) {
+	w, h := b.W, b.H
+	pw := w + 2
 	for y := 0; y < h; y++ {
 		copy(pad[(y+1)*pw+1:(y+1)*pw+1+w], b.Cells[y*w:(y+1)*w])
 	}
-	// Halo rows/columns implement the torus once, outside the hot loop.
 	copy(pad[1:1+w], b.Cells[(h-1)*w:h*w]) // top halo = last row
 	copy(pad[(h+1)*pw+1:(h+1)*pw+1+w], b.Cells[0:w])
 	for y := 0; y < h+2; y++ {
@@ -180,7 +196,14 @@ func (b *Life) StepPadded(dst *Life, scratch []uint8) []uint8 {
 	}
 	// Corner cells are covered by the column fill above because the halo
 	// rows were installed first.
-	for y := 0; y < h; y++ {
+}
+
+// padRows computes rows [lo, hi) of the next generation into dst from a
+// pad filled by fillPad. Disjoint row ranges may run concurrently.
+func padRows(pad []uint8, dst *Life, lo, hi int) {
+	w := dst.W
+	pw := w + 2
+	for y := lo; y < hi; y++ {
 		up := pad[y*pw : (y+1)*pw]
 		mid := pad[(y+1)*pw : (y+2)*pw]
 		down := pad[(y+2)*pw : (y+3)*pw]
@@ -203,7 +226,6 @@ func (b *Life) StepPadded(dst *Life, scratch []uint8) []uint8 {
 			}
 		}
 	}
-	return pad
 }
 
 // RunPadded advances the board like Run but with the padded stepper.

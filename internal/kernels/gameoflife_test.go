@@ -3,6 +3,9 @@ package kernels
 import (
 	"testing"
 	"testing/quick"
+
+	"perfeng/internal/sched"
+	"perfeng/internal/telemetry"
 )
 
 func TestLifeBlinkerOscillates(t *testing.T) {
@@ -19,7 +22,7 @@ func TestLifeBlinkerOscillates(t *testing.T) {
 	if one.Population() != 3 {
 		t.Fatalf("population = %d", one.Population())
 	}
-	two := b.Run(2, 1)
+	two := cloneLife(b).Run(2, 1)
 	if !two.Equal(b) {
 		t.Fatalf("blinker must have period 2:\n%s", two)
 	}
@@ -59,11 +62,21 @@ func TestLifeToroidalWraparound(t *testing.T) {
 	}
 }
 
+// cloneLife copies a board. Run and RunPadded use their receiver as the
+// second ping-pong buffer, so every comparison below starts each path
+// from its own copy; comparing b.Run(g, 1) with b.Run(g, w) directly
+// would compare b with itself for even g.
+func cloneLife(b *Life) *Life {
+	c := NewLife(b.W, b.H)
+	copy(c.Cells, b.Cells)
+	return c
+}
+
 func TestLifeParallelMatchesSequential(t *testing.T) {
 	b := RandomLife(40, 31, 0.35, 17)
+	seq := cloneLife(b).Run(8, 1)
 	for _, w := range []int{2, 3, 8, 64} {
-		seq := b.Run(8, 1)
-		par := b.Run(8, w)
+		par := cloneLife(b).Run(8, w)
 		if !seq.Equal(par) {
 			t.Fatalf("workers=%d diverged", w)
 		}
@@ -108,8 +121,8 @@ func TestQuickLifeInvariants(t *testing.T) {
 func TestStepPaddedMatchesStep(t *testing.T) {
 	for _, dims := range [][2]int{{5, 5}, {16, 9}, {33, 40}, {2, 2}} {
 		b := RandomLife(dims[0], dims[1], 0.4, int64(dims[0]))
-		want := b.Run(6, 1)
-		got := b.RunPadded(6)
+		want := cloneLife(b).Run(6, 1)
+		got := cloneLife(b).RunPadded(6)
 		if !want.Equal(got) {
 			t.Fatalf("%dx%d: padded stepper diverged", dims[0], dims[1])
 		}
@@ -117,7 +130,124 @@ func TestStepPaddedMatchesStep(t *testing.T) {
 	// Glider (exercises all four torus edges on a small board).
 	g := NewLife(6, 6)
 	g.Glider(3, 3)
-	if !g.Run(24, 1).Equal(g.RunPadded(24)) {
+	if !cloneLife(g).Run(24, 1).Equal(cloneLife(g).RunPadded(24)) {
 		t.Fatal("glider wraparound diverged")
 	}
+}
+
+// TestLifeParallelEdgeShapes checks the parallel padded path against the
+// sequential modulo stepper cell for cell on degenerate and non-square
+// boards, including more workers than rows.
+func TestLifeParallelEdgeShapes(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {7, 3}, {3, 7}, {40, 31}} {
+		b := RandomLife(dims[0], dims[1], 0.45, int64(dims[0]*100+dims[1]))
+		for _, gens := range []int{1, 2, 5} {
+			want := cloneLife(b).Run(gens, 1)
+			for _, w := range []int{0, -1, 2, 3, 64} {
+				if got := cloneLife(b).Run(gens, w); !got.Equal(want) {
+					t.Errorf("%dx%d gens=%d workers=%d: Run diverged from Run(gens, 1)\ngot:\n%swant:\n%s",
+						dims[0], dims[1], gens, w, got, want)
+				}
+			}
+		}
+		want := cloneLife(b).Run(1, 1)
+		for _, w := range []int{0, -1, 2, 3, 64} {
+			got := NewLife(b.W, b.H)
+			b.StepParallel(got, w)
+			if !got.Equal(want) {
+				t.Errorf("%dx%d workers=%d: StepParallel diverged from Step", dims[0], dims[1], w)
+			}
+		}
+	}
+}
+
+// TestLifeGliderWrapsTorus runs a glider on a non-square torus long
+// enough to leave through the right and bottom edges and re-enter through
+// the left and top ones, and checks every path against the glider's known
+// displacement of (1, 1) per 4 generations.
+func TestLifeGliderWrapsTorus(t *testing.T) {
+	const w, h = 9, 6
+	b := NewLife(w, h)
+	b.Glider(5, 2)
+	for _, k := range []int{1, 4, 9, 18} {
+		want := NewLife(w, h)
+		want.Glider((5+k)%w, (2+k)%h)
+		for _, workers := range []int{1, 0, 2, 3} {
+			if got := cloneLife(b).Run(4*k, workers); !got.Equal(want) {
+				t.Errorf("k=%d workers=%d: glider at the wrong place:\n%swant:\n%s", k, workers, got, want)
+			}
+		}
+		if got := cloneLife(b).RunPadded(4 * k); !got.Equal(want) {
+			t.Errorf("k=%d: padded glider at the wrong place:\n%swant:\n%s", k, got, want)
+		}
+	}
+}
+
+// TestLifeRunDefaultWorkersIsParallel: workers == 0 means "let the pool
+// decide", so Run(8, 0) must dispatch one parallel region per generation
+// instead of falling back to the sequential stepper; workers == 1 must not
+// touch the scheduler at all.
+func TestLifeRunDefaultWorkersIsParallel(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sched.EnableTelemetry(reg)
+	t.Cleanup(func() { sched.EnableTelemetry(nil) })
+	regions := reg.Counter("perfeng_sched_regions", "")
+	inline := reg.Counter("perfeng_sched_regions_inline", "")
+
+	b := RandomLife(64, 64, 0.3, 5)
+	b.Run(8, 1)
+	if r, i := regions.Value(), inline.Value(); r != 0 || i != 0 {
+		t.Fatalf("Run(8, 1) dispatched %d regions (%d inline), want none", r, i)
+	}
+	b.Run(8, 0)
+	if r := regions.Value(); r != 8 {
+		t.Fatalf("Run(8, 0) dispatched %d regions (%d inline), want 8", r, inline.Value())
+	}
+}
+
+var lifeSink *Life
+
+// TestLifeRunAllocs pins the parallel Run to a fixed number of
+// allocations whatever the generation count: the result board, one pad
+// and one row closure per call, never a pad or a closure per generation.
+func TestLifeRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop sched's job records at random")
+	}
+	b := RandomLife(64, 48, 0.3, 9)
+	for _, w := range []int{0, 2} {
+		few := allocsPerRun(func() { lifeSink = b.Run(2, w) })
+		many := allocsPerRun(func() { lifeSink = b.Run(16, w) })
+		if few != many {
+			t.Errorf("workers=%d: Run allocates %v times for 2 generations, %v for 16", w, few, many)
+		}
+	}
+}
+
+// FuzzLifeRun decodes bytes into a board: width and height (1-48), live
+// density, generations (0-10), workers (-1 to 8) and a seed from the
+// remaining bytes. The parallel, sequential and padded paths must agree
+// cell for cell.
+func FuzzLifeRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		w, h := 1+int(data[0])%48, 1+int(data[1])%48
+		density := float64(data[2]) / 255
+		gens := int(data[3]) % 11
+		workers := int(data[4])%10 - 1
+		var seed int64
+		for _, c := range data[5:] {
+			seed = seed*131 + int64(c)
+		}
+		b := RandomLife(w, h, density, seed)
+		want := cloneLife(b).Run(gens, 1)
+		if got := cloneLife(b).Run(gens, workers); !got.Equal(want) {
+			t.Fatalf("%dx%d gens=%d workers=%d: Run diverged from Run(gens, 1)\ngot:\n%swant:\n%s", w, h, gens, workers, got, want)
+		}
+		if got := cloneLife(b).RunPadded(gens); !got.Equal(want) {
+			t.Fatalf("%dx%d gens=%d: RunPadded diverged from Run(gens, 1)\ngot:\n%swant:\n%s", w, h, gens, got, want)
+		}
+	})
 }

@@ -155,6 +155,10 @@ func MatMulTransposed(a, b, c *Dense) {
 // MatMulTiled computes c = a*b with square tiling of all three loops
 // ("loop tiling" in the assignment), tile being the tile edge. A
 // non-positive tile consults the tuning cache, then falls back to 64.
+// The row tiles of c and b are resliced to the tile's column range and
+// the inner loop ranges over the b tile, so it runs without bounds checks
+// (-d=ssa/check_bce). Every c[i][j] still accumulates over k in ascending
+// order, so for finite inputs the result is bit-identical to MatMulIKJ.
 func MatMulTiled(a, b, c *Dense, tile int) {
 	n := mustSameSize(a, b, c)
 	tile = tunedTile(tune.KernelMatMul, n, tile, 64)
@@ -169,12 +173,12 @@ func MatMulTiled(a, b, c *Dense, tile int) {
 			for jj := 0; jj < n; jj += tile {
 				jmax := min(jj+tile, n)
 				for i := ii; i < imax; i++ {
-					crow := c.Data[i*n : (i+1)*n]
+					crow := c.Data[i*n+jj : i*n+jmax]
 					for k := kk; k < kmax; k++ {
 						av := ad[i*n+k]
-						brow := b.Data[k*n : (k+1)*n]
-						for j := jj; j < jmax; j++ {
-							crow[j] += av * brow[j]
+						brow := b.Data[k*n+jj : k*n+jmax][:len(crow)]
+						for j, bv := range brow {
+							crow[j] += av * bv
 						}
 					}
 				}
@@ -208,7 +212,7 @@ func MatMulParallel(a, b, c *Dense, workers int) {
 
 // MatMulParallelTiled combines tiling with row-block parallelism: each
 // executed range owns a horizontal band of c and tiles the k and j loops
-// within it.
+// within it, with the same bounds-check-free inner loop as MatMulTiled.
 func MatMulParallelTiled(a, b, c *Dense, workers, tile int) {
 	n := mustSameSize(a, b, c)
 	tile = tunedTile(tune.KernelMatMul, n, tile, 64)
@@ -225,12 +229,12 @@ func MatMulParallelTiled(a, b, c *Dense, workers, tile int) {
 			for jj := 0; jj < n; jj += tile {
 				jmax := min(jj+tile, n)
 				for i := lo; i < hi; i++ {
-					crow := c.Data[i*n : (i+1)*n]
+					crow := c.Data[i*n+jj : i*n+jmax]
 					for k := kk; k < kmax; k++ {
 						av := ad[i*n+k]
-						brow := b.Data[k*n : (k+1)*n]
-						for j := jj; j < jmax; j++ {
-							crow[j] += av * brow[j]
+						brow := b.Data[k*n+jj : k*n+jmax][:len(crow)]
+						for j, bv := range brow {
+							crow[j] += av * bv
 						}
 					}
 				}

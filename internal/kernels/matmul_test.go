@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -163,5 +164,35 @@ func TestQuickMatMulLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMatMulTiledBitIdentical: tiling changes the loop order over i and
+// j tiles but every c[i][j] still accumulates its products in ascending
+// k, so both tiled kernels must equal MatMulIKJ exactly, not just within
+// a tolerance. c starts dirty to check that the kernels zero it.
+func TestMatMulTiledBitIdentical(t *testing.T) {
+	for _, n := range []int{1, 7, 65, 130} {
+		a, b := RandomDense(n, int64(n)), RandomDense(n, int64(n)+1)
+		want := NewDense(n)
+		MatMulIKJ(a, b, want)
+		check := func(name string, c *Dense) {
+			t.Helper()
+			for i, v := range want.Data {
+				if c.Data[i] != v {
+					t.Fatalf("n=%d %s: c[%d][%d] = %v, MatMulIKJ %v", n, name, i/n, i%n, c.Data[i], v)
+				}
+			}
+		}
+		for _, tile := range []int{1, 3, 64} {
+			c := RandomDense(n, 99)
+			MatMulTiled(a, b, c, tile)
+			check(fmt.Sprintf("tiled tile=%d", tile), c)
+			for _, w := range []int{0, 2, 3} {
+				c := RandomDense(n, 99)
+				MatMulParallelTiled(a, b, c, w, tile)
+				check(fmt.Sprintf("parallel-tiled tile=%d workers=%d", tile, w), c)
+			}
+		}
 	}
 }

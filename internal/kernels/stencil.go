@@ -113,22 +113,44 @@ func StencilSweepParallel(src, dst *Grid2D, workers int) {
 	})
 }
 
-// StencilRun performs sweeps Jacobi sweeps ping-ponging between two
-// scratch grids and returns the grid holding the final iterate. g itself
-// is never modified. workers == 1 runs sequentially; any other value is
-// the usual decomposition knob (0 = dynamic pool, possibly tuned, like
+// StencilRun performs sweeps Jacobi sweeps and returns the grid holding
+// the final iterate. g itself is never modified. A sweep overwrites every
+// interior cell, so the two scratch grids it ping-pongs between get only
+// g's halo ring copied in, and the first sweep reads g directly; the
+// result is bit-identical to sweeping from two full clones of g. sweeps
+// <= 0 returns a clone. workers == 1 runs sequentially; any other value
+// is the usual decomposition knob (0 = dynamic pool, possibly tuned, like
 // every other parallel kernel here).
 func StencilRun(g *Grid2D, sweeps, workers int) *Grid2D {
-	src, dst := g.Clone(), g.Clone()
+	if sweeps <= 0 {
+		return g.Clone()
+	}
+	dst, spare := NewGrid2D(g.N), NewGrid2D(g.N)
+	copyHalo(dst, g)
+	copyHalo(spare, g)
+	src := g
 	for s := 0; s < sweeps; s++ {
 		if workers == 1 {
 			StencilSweep(src, dst)
 		} else {
 			StencilSweepParallel(src, dst, workers)
 		}
-		src, dst = dst, src
+		src, dst, spare = dst, spare, dst
 	}
 	return src
+}
+
+// copyHalo copies src's one-cell boundary ring into dst, a grid of the
+// same size.
+func copyHalo(dst, src *Grid2D) {
+	w := src.N + 2
+	last := (w - 1) * w
+	copy(dst.Data[:w], src.Data[:w])
+	copy(dst.Data[last:], src.Data[last:])
+	for i := w; i < last; i += w {
+		dst.Data[i] = src.Data[i]
+		dst.Data[i+w-1] = src.Data[i+w-1]
+	}
 }
 
 // StencilResidual returns the max |a-b| over the interior, the convergence

@@ -151,3 +151,64 @@ func TestStencilRunDoesNotMutateInput(t *testing.T) {
 		}
 	}
 }
+
+// stencilRunClones is StencilRun as it was before the halo-only scratch:
+// both ping-pong grids start as full clones of g. It is the oracle for
+// TestStencilRunMatchesCloneOracle.
+func stencilRunClones(g *Grid2D, sweeps, workers int) *Grid2D {
+	src, dst := g.Clone(), g.Clone()
+	for s := 0; s < sweeps; s++ {
+		if workers == 1 {
+			StencilSweep(src, dst)
+		} else {
+			StencilSweepParallel(src, dst, workers)
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// TestStencilRunMatchesCloneOracle: sweeping from g and two halo-only
+// scratch grids must give bit-for-bit the clone-based result. rngFill
+// gives every halo cell its own value, so a halo edge or corner left
+// uncopied in either scratch grid changes the result.
+func TestStencilRunMatchesCloneOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 13} {
+		g := NewGrid2D(n)
+		rngFill(g, int64(n))
+		orig := g.Clone()
+		for _, sweeps := range []int{0, 1, 2, 3, 8} {
+			for _, w := range []int{1, 2, 0} {
+				want := stencilRunClones(g, sweeps, w)
+				got := StencilRun(g, sweeps, w)
+				if got == g {
+					t.Fatalf("n=%d sweeps=%d workers=%d: StencilRun returned its input", n, sweeps, w)
+				}
+				for i, v := range want.Data {
+					if got.Data[i] != v {
+						t.Fatalf("n=%d sweeps=%d workers=%d: cell (%d,%d) = %v, oracle %v",
+							n, sweeps, w, i/(n+2), i%(n+2), got.Data[i], v)
+					}
+				}
+				if d := g.MaxAbsDiff(orig); d != 0 {
+					t.Fatalf("n=%d sweeps=%d workers=%d: input grid modified by %v", n, sweeps, w, d)
+				}
+			}
+		}
+	}
+}
+
+var gridSink *Grid2D
+
+// TestStencilRunAllocs pins StencilRun's allocations to the two scratch
+// grids whatever the sweep count, so a per-call or per-sweep full-grid
+// clone cannot come back. Measured sequentially: the parallel sweep
+// allocates its row closure once per sweep.
+func TestStencilRunAllocs(t *testing.T) {
+	g := HotBoundaryGrid(64)
+	one := allocsPerRun(func() { gridSink = StencilRun(g, 1, 1) })
+	many := allocsPerRun(func() { gridSink = StencilRun(g, 16, 1) })
+	if one != many {
+		t.Errorf("StencilRun allocates %v times for 1 sweep, %v for 16", one, many)
+	}
+}
