@@ -49,13 +49,14 @@ var sink interface{}
 // init arms the process-wide flight recorder when PERFENG_FLIGHT=1 —
 // the enabled-vs-disabled overhead experiment of EXPERIMENTS.md: run
 // BenchmarkSmoke twice, once per state, and Welch-t the pairs. The
-// sched tee is attached too, so every parallel bench records through
-// the black box exactly as `perfeng serve` would.
+// sched sink is attached too, for the process's lifetime, so every
+// parallel bench records through the black box exactly as
+// `perfeng serve` would.
 func init() {
 	if os.Getenv("PERFENG_FLIGHT") == "1" {
 		rec := flight.NewRecorder(0)
 		flight.Enable(rec)
-		sched.Observe(flight.NewSchedTee(rec, nil))
+		sched.Default().Tasks.Attach(flight.SchedSink(rec))
 	}
 }
 

@@ -55,9 +55,9 @@ func runScaling(args []string) {
 	if *dumpDir != "" {
 		rec = flight.NewRecorder(0)
 		flight.Enable(rec)
-		sched.Observe(flight.NewSchedTee(rec, nil))
+		detach := sched.Default().Tasks.Attach(flight.SchedSink(rec))
 		defer func() {
-			sched.Observe(nil)
+			detach()
 			flight.Enable(nil)
 		}()
 	}

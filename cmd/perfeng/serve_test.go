@@ -171,7 +171,7 @@ func TestServeFlightSLOViolation(t *testing.T) {
 		t.Fatal("dump lacks the exemplar evidence span 'iteration'")
 	}
 	// The drained black box also carries producer records (the sched
-	// tee ran during the workload's parallel phases).
+	// sink ran during the workload's parallel phases).
 	schedSpans := false
 	for _, ev := range ct.TraceEvents {
 		if strings.HasPrefix(ev.Name, "parfor/") {
@@ -180,7 +180,7 @@ func TestServeFlightSLOViolation(t *testing.T) {
 		}
 	}
 	if !schedSpans {
-		t.Fatal("dump carries no sched spans — producer tee not wired")
+		t.Fatal("dump carries no sched spans — producer sink not wired")
 	}
 	for _, name := range []string{"flight.profile.folded", "flight.critpath.md"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {

@@ -67,6 +67,11 @@ type runStack struct {
 	rec       *flight.Recorder
 	engine    *flight.Engine
 	dumpDir   string
+
+	// Sink detaches: the collector's, for the stack's lifetime, and the
+	// latest iteration's sched sinks, until the next iteration's replace
+	// them.
+	detachSamples, detachSched func()
 }
 
 // newRunStack builds the registry, enables every producer on it, and
@@ -82,7 +87,7 @@ func newRunStack(cfg stackConfig) (*runStack, error) {
 	reg := telemetry.NewRegistry()
 	enableProducers(reg)
 
-	// The black box: every producer tee in wiring.go consults
+	// The black box: every producer sink in wiring.go records into
 	// flight.Active(), so enabling here arms them all.
 	rec := flight.NewRecorder(cfg.capacity)
 	flight.Enable(rec)
@@ -91,7 +96,7 @@ func newRunStack(cfg stackConfig) (*runStack, error) {
 	collector := telemetry.NewCollector(reg, cfg.interval)
 	// Collector samples land in the live session's counter series AND
 	// the flight ring, from the same sampling pass.
-	collector.SetSink(telemetry.TeeSink(sink, rec))
+	detachObs, detachRec := collector.Samples.Attach(sink.Sample), collector.Samples.Attach(rec.Sample)
 	server := telemetry.NewServer(cfg.addr, reg, func() telemetry.TraceSource {
 		// Return a typed nil as an untyped one so the endpoints 404
 		// cleanly before the first workload iteration attaches a session.
@@ -112,8 +117,10 @@ func newRunStack(cfg stackConfig) (*runStack, error) {
 			"Workload iterations completed under perfeng "+cfg.cmd+"."),
 		iterHist: reg.Histogram(prefix+"iteration_seconds",
 			"Wall-clock duration of one full workload iteration.", -30, 4),
-		rec:     rec,
-		dumpDir: cfg.dumpDir,
+		rec:           rec,
+		dumpDir:       cfg.dumpDir,
+		detachSamples: func() { detachObs(); detachRec() },
+		detachSched:   func() {},
 	}
 	st.engine = flight.NewEngine(reg, rec, objectives, func(v flight.Violation) {
 		fmt.Fprintf(os.Stderr, "perfeng %s: %s\n", st.cmd, v.String())
@@ -150,8 +157,12 @@ func (st *runStack) iterate(name string, app *perfeng.Application, ranks, n int)
 		return 0, err
 	}
 	// Swap the fresh session in before running, so scrapes and trace
-	// downloads during the iteration see live data.
+	// downloads during the iteration see live data. The previous
+	// session's sched sinks stayed attached until now, so parallel work
+	// between iterations still lands in the session being served.
 	st.sink.Set(ws.session)
+	st.detachSched()
+	st.detachSched = ws.detachSched
 	start := st.rec.Now()
 	if err := runWorkload(ws, app, ranks, n); err != nil {
 		return 0, err
@@ -186,14 +197,15 @@ func (st *runStack) dumpFlight(v *flight.Violation) {
 }
 
 // close stops the SLO watcher, collector and server and detaches every
-// producer (including the flight recorder), so package-global telemetry
-// does not outlive the stack.
+// producer and sink (including the flight recorder), so package-global
+// telemetry does not outlive the stack.
 func (st *runStack) close(ctx context.Context) error {
 	st.engine.Stop()
 	st.collector.Stop()
 	err := st.server.Stop(ctx)
 	enableProducers(nil)
-	sched.Observe(nil)
+	st.detachSched()
+	st.detachSamples()
 	flight.Enable(nil)
 	return err
 }

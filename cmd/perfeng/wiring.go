@@ -24,12 +24,16 @@ import (
 )
 
 // wiredSession is an obs session with the standard instrumentation
-// attached: runtime counters sampled at every span boundary and a host
-// profiler mirrored onto the "host" track.
+// attached: runtime counters sampled at every span boundary, a host
+// profiler mirrored onto the "host" track, and the default sched
+// pool's tasks on per-executor tracks.
 type wiredSession struct {
 	session *obs.Session
 	prof    *profile.Profiler
 	sampler *obs.CounterSampler
+	// detachSched removes the session's sinks from the default sched
+	// pool, the one producer that outlives the session.
+	detachSched func()
 }
 
 // newWiredSession builds the instrumented session both subcommands use.
@@ -50,24 +54,25 @@ func newWiredSession(name string) (*wiredSession, error) {
 
 	// Host profiler: regions mirror onto the "host" track (session and
 	// flight ring both, when the black box is enabled) and trigger a
-	// counter sample on every exit. A nil Active() recorder no-ops, so
-	// the tee costs one atomic load when flight is off.
+	// counter sample on every exit. With flight off, flight's sink is
+	// nil and attaches nothing.
+	rec := flight.Active()
 	prof := profile.New()
-	mirror := session.Track("host").ProfileListener()
-	blackBox := flight.SpanListener(flight.Active(), "host")
-	prof.Listen(func(path []string, start, end time.Time) {
-		mirror(path, start, end)
-		blackBox(path, start, end)
+	prof.Spans.Attach(obs.ProfileSink(session.Track("host")))
+	prof.Spans.Attach(flight.ProfileSink(rec, "host"))
+	prof.Spans.Attach(func(profile.Span) {
+		// A failed counter read only drops one sample point.
 		_ = sampler.Sample()
 	})
 
 	// Scheduler tasks land on per-executor "sched" tracks, so the
 	// parallel variants show their range decomposition next to the host
-	// spans — teed through the flight ring on the way. The observer
-	// follows the newest session (serve wires one per iteration); serve
-	// detaches it at stack close.
-	sched.Observe(flight.NewSchedTee(flight.Active(), obs.NewSchedObserver(session)))
-	return &wiredSession{session: session, prof: prof, sampler: sampler}, nil
+	// spans, and in the flight ring.
+	tasks := &sched.Default().Tasks
+	detachObs := tasks.Attach(obs.SchedSink(session))
+	detachFlight := tasks.Attach(flight.SchedSink(rec))
+	return &wiredSession{session: session, prof: prof, sampler: sampler,
+		detachSched: func() { detachObs(); detachFlight() }}, nil
 }
 
 // do runs f as a profiled region, propagating f's error ahead of the
@@ -154,7 +159,8 @@ func clusterPhase(session *obs.Session, ranks, n int) error {
 		return err
 	}
 	tracer := world.EnableTracing()
-	tracer.Listen(flight.ClusterListener(flight.Active(), ranks))
+	// The tracer lives for this phase only, so its sink needs no detach.
+	tracer.Events.Attach(flight.ClusterSink(flight.Active(), ranks))
 	err = world.Run(func(c *cluster.Comm) error {
 		// Local compute: rank 0 does extra passes (an imbalanced
 		// partition), which surfaces as late-sender wait time downstream.
@@ -184,14 +190,14 @@ func clusterPhase(session *obs.Session, ranks, n int) error {
 }
 
 // gpuPhase launches a SAXPY-class kernel on the modeled device with the
-// session's GPU recorder attached.
+// session's and the flight ring's GPU sinks attached.
 func gpuPhase(session *obs.Session, n int) error {
-	model := machine.DAS5TitanX()
-	dev, err := gpu.NewDevice(model)
+	dev, err := gpu.NewDevice(machine.DAS5TitanX())
 	if err != nil {
 		return err
 	}
-	dev.Recorder = flight.NewGPUTee(flight.Active(), obs.NewGPURecorder(session, model))
+	dev.Events.Attach(obs.GPUSink(session))
+	dev.Events.Attach(flight.GPUSink(flight.Active()))
 	elems := n * n
 	const block = 256
 	blocks := (elems + block - 1) / block

@@ -74,14 +74,26 @@ func TestAssignment2Pipeline(t *testing.T) {
 	cpu := cal.FitCPU(machine.GenericLaptop())
 	runner := metrics.NewRunner(metrics.QuickConfig())
 
-	var pts []analytic.CalibrationPoint
-	for _, n := range []int{48, 64, 96, 128} {
+	// The sizes are interleaved across rounds, so a contention burst
+	// hits every point alike, and each point is its fastest run over
+	// all rounds: the least-disturbed run is the one a work model
+	// describes, while a median still carries the machine's load.
+	sizes := []int{48, 64, 96, 128}
+	ops := make([]func(), len(sizes))
+	for i, n := range sizes {
 		a := kernels.RandomDense(n, 1)
 		b := kernels.RandomDense(n, 2)
 		c := kernels.NewDense(n)
-		m := runner.Measure("mm", kernels.MatMulFLOPs(n), 0,
-			func() { kernels.MatMulIKJ(a, b, c) })
-		pts = append(pts, analytic.CalibrationPoint{N: float64(n), Seconds: m.MedianSeconds()})
+		ops[i] = func() { kernels.MatMulIKJ(a, b, c) }
+	}
+	pts := make([]analytic.CalibrationPoint, len(sizes))
+	for round := 0; round < 3; round++ {
+		for i, n := range sizes {
+			s := runner.Measure("mm", kernels.MatMulFLOPs(n), 0, ops[i]).MinSeconds()
+			if round == 0 || s < pts[i].Seconds {
+				pts[i] = analytic.CalibrationPoint{N: float64(n), Seconds: s}
+			}
+		}
 	}
 	fn := &analytic.FunctionModel{ModelName: "fn",
 		Work: func(n float64) float64 { return n * n * n }}

@@ -415,7 +415,7 @@ func TestTracingAndWaitStates(t *testing.T) {
 	if !strings.Contains(rep, "late-sender") || !strings.Contains(rep, "imbalance") {
 		t.Fatalf("report incomplete:\n%s", rep)
 	}
-	if len(tr.Events(1)) == 0 {
+	if len(tr.RankEvents(1)) == 0 {
 		t.Fatal("rank 1 events missing")
 	}
 }
@@ -476,7 +476,7 @@ func TestRecordEventIgnoresOutOfRangeRank(t *testing.T) {
 	tr := NewTracer(1)
 	tr.RecordEvent(-1, Event{Kind: EvSend})
 	tr.RecordEvent(5, Event{Kind: EvSend})
-	if len(tr.Events(0)) != 0 {
+	if len(tr.RankEvents(0)) != 0 {
 		t.Fatal("out-of-range RecordEvent must not land anywhere")
 	}
 }

@@ -11,15 +11,14 @@ import (
 )
 
 // TestLiveSchedSession runs a real parallel region with the provenance
-// observer attached and analyzes the resulting session: fork edges must
+// sink attached and analyzes the resulting session: fork edges must
 // exist, the path must tile, and the region's join structure must hang
 // off the host span that submitted it.
 func TestLiveSchedSession(t *testing.T) {
 	s := obs.NewSession("live-sched")
 	pool := sched.New(4)
 	defer pool.Close()
-	pool.Observe(obs.NewSchedObserver(s))
-	defer pool.Observe(nil)
+	defer pool.Tasks.Attach(obs.SchedSink(s))()
 
 	host := s.Track("host")
 	err := host.Span("region", func() {

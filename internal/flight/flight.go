@@ -20,8 +20,10 @@
 //     holds one: it buys an exact memory model — race-detector-clean —
 //     for a critical section of a dozen nanoseconds.
 //   - Disabled is near-free: every method no-ops on a nil *Recorder,
-//     and the package-level Active() handle is one atomic load, so
-//     producer tees instrument unconditionally.
+//     the package-level Active() handle is one atomic load, and the
+//     producer sink constructors (adapters.go) return nil for a nil
+//     recorder, which a producer hook ignores: a producer with no
+//     sink attached pays one atomic load per event.
 //
 // The SLO engine (slo.go) layers named latency objectives on
 // internal/telemetry histograms and, on violation, links the objective
@@ -40,6 +42,7 @@ import (
 	"unsafe"
 
 	"perfeng/internal/obs"
+	"perfeng/internal/telemetry"
 )
 
 func maxProcs() int { return runtime.GOMAXPROCS(0) }
@@ -195,11 +198,10 @@ func (r *Recorder) RecordSample(name string, at time.Duration, v float64) {
 	r.Record(Record{Kind: KindSample, Name: name, Start: at, Value: v})
 }
 
-// CounterSample implements telemetry.SampleSink, so the runtime
-// collector tees every live sample into the black box (stamped with the
-// recorder's clock).
-func (r *Recorder) CounterSample(name string, v float64) {
-	r.RecordSample(name, r.Now(), v)
+// Sample is a telemetry.Collector.Samples sink: every live runtime
+// sample lands in the black box, stamped with the recorder's clock.
+func (r *Recorder) Sample(s telemetry.Sample) {
+	r.RecordSample(s.Name, r.Now(), s.Value)
 }
 
 // Len returns the number of records currently held.
@@ -292,7 +294,7 @@ func (r *Recorder) BuildSession(name string) *obs.Session {
 	return s
 }
 
-// active is the process-wide recorder producer tees consult. One atomic
+// active is the process-wide recorder producer wiring consults. One atomic
 // load when disabled — the "always-on must cost nothing when off" rule.
 var active atomic.Pointer[Recorder]
 

@@ -2,12 +2,15 @@ package flight
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"perfeng/internal/cluster"
 	"perfeng/internal/gpu"
+	"perfeng/internal/profile"
 	"perfeng/internal/sched"
+	"perfeng/internal/telemetry"
 )
 
 // TestRingBounds: the recorder holds at most its capacity, overwrites
@@ -48,7 +51,10 @@ func TestNilRecorder(t *testing.T) {
 	r.RecordSpan("t", "n", "", 0, 0)
 	r.RecordInstant("t", "n", 0)
 	r.RecordSample("n", 0, 1)
-	r.CounterSample("n", 1)
+	r.Sample(telemetry.Sample{Name: "n", Value: 1})
+	if SchedSink(r) != nil || GPUSink(r) != nil || ClusterSink(r, 2) != nil || ProfileSink(r, "host") != nil {
+		t.Fatal("a sink for a nil recorder must be nil, so a hook attaches nothing")
+	}
 	if r.Len() != 0 || r.Total() != 0 || r.Snapshot() != nil || r.Now() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
@@ -68,29 +74,45 @@ func TestNilRecorder(t *testing.T) {
 }
 
 // TestRecordPathAllocs gates the black-box contract: recording is
-// 0 allocs/op, including through the sched tee and cluster listener.
+// 0 allocs/op, through every producer sink too.
 func TestRecordPathAllocs(t *testing.T) {
 	r := NewRecorder(0)
-	if a := testing.AllocsPerRun(1000, func() {
-		r.RecordSpan("track", "name", "detail", time.Microsecond, time.Microsecond)
-	}); a != 0 {
-		t.Fatalf("RecordSpan allocates: %v allocs/op", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() {
-		r.CounterSample("series", 1.0)
-	}); a != 0 {
-		t.Fatalf("CounterSample allocates: %v allocs/op", a)
-	}
-	tee := NewSchedTee(r, nil)
 	start := time.Now()
 	info := sched.TaskInfo{Executor: "worker 0", Policy: sched.PolicyStatic, Start: start, Dur: time.Microsecond}
-	if a := testing.AllocsPerRun(1000, func() { tee.TaskRan(info) }); a != 0 {
-		t.Fatalf("SchedTee.TaskRan allocates: %v allocs/op", a)
+	schedSink, gpuSink := SchedSink(r), GPUSink(r)
+	clusterSink, profileSink := ClusterSink(r, 4), ProfileSink(r, "host")
+	launch := gpu.Event{Kernel: "k", Launch: true, Start: start, End: start.Add(time.Millisecond)}
+	block := gpu.Event{Kernel: "k", Worker: 1, Start: start, End: start.Add(time.Microsecond)}
+	ev := cluster.Event{Rank: 2, Kind: cluster.EvSend, Peer: 1, Bytes: 8, Start: start, End: start.Add(time.Microsecond)}
+	span := profile.Span{Path: []string{"app", "phase"}, Start: start, End: start.Add(time.Microsecond)}
+	for name, record := range map[string]func(){
+		"RecordSpan":  func() { r.RecordSpan("track", "name", "detail", time.Microsecond, time.Microsecond) },
+		"Sample":      func() { r.Sample(telemetry.Sample{Name: "series", Value: 1}) },
+		"SchedSink":   func() { schedSink(info) },
+		"GPUSink":     func() { gpuSink(launch); gpuSink(block) },
+		"ClusterSink": func() { clusterSink(ev) },
+		"ProfileSink": func() { profileSink(span) },
+	} {
+		if a := testing.AllocsPerRun(1000, record); a != 0 {
+			t.Errorf("%s allocates: %v allocs/op", name, a)
+		}
 	}
-	lis := ClusterListener(r, 4)
-	ev := cluster.Event{Kind: cluster.EvSend, Peer: 1, Bytes: 8, Start: start, End: start.Add(time.Microsecond)}
-	if a := testing.AllocsPerRun(1000, func() { lis(2, ev) }); a != 0 {
-		t.Fatalf("ClusterListener allocates: %v allocs/op", a)
+}
+
+// TestPoolForWithSinkAllocs: a parallel region on a pool with a flight
+// sink attached stays allocation-free in steady state, like an
+// unobserved one (sched's TestSteadyStateAllocs).
+func TestPoolForWithSinkAllocs(t *testing.T) {
+	p := sched.New(1)
+	defer p.Close()
+	defer p.Tasks.Attach(SchedSink(NewRecorder(0)))()
+	var sum atomic.Int64
+	body := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	for i := 0; i < 100; i++ {
+		p.For(4096, 64, body) // warm the job pool and deque rings
+	}
+	if avg := testing.AllocsPerRun(200, func() { p.For(4096, 64, body) }); avg > 0.5 {
+		t.Errorf("For with a flight sink allocates %.2f times per call, want 0", avg)
 	}
 }
 
@@ -145,7 +167,7 @@ func TestConcurrentRecordAndDrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				r.RecordSpan("t", "work", "", time.Duration(i), 1)
-				r.CounterSample("load", float64(i))
+				r.Sample(telemetry.Sample{Name: "load", Value: float64(i)})
 				select {
 				case <-stop:
 					return
@@ -166,49 +188,37 @@ func TestConcurrentRecordAndDrain(t *testing.T) {
 	}
 }
 
-type innerSched struct{ n int }
-
-func (o *innerSched) TaskRan(sched.TaskInfo) { o.n++ }
-
-type innerGPU struct{ launches, blocks int }
-
-func (g *innerGPU) KernelLaunch(string, gpu.Dim3, gpu.Dim3, int, int, time.Time, time.Time) {
-	g.launches++
-}
-func (g *innerGPU) KernelBlock(string, int, gpu.Dim3, time.Time, time.Time) { g.blocks++ }
-
-// TestTeesForward: every tee records into the ring AND forwards to the
-// wrapped observer.
-func TestTeesForward(t *testing.T) {
+// TestSinksRecord: every producer sink records into the ring on its
+// lane; off-table GPU workers still get a lane, out-of-range cluster
+// ranks are dropped (matching the tracer), and the profiler sink keeps
+// the leaf frame.
+func TestSinksRecord(t *testing.T) {
 	r := NewRecorder(0)
-	is := &innerSched{}
-	NewSchedTee(r, is).TaskRan(sched.TaskInfo{Executor: "caller", Worker: -1, Start: time.Now(), Dur: time.Microsecond})
-	if is.n != 1 {
-		t.Fatal("sched tee did not forward")
-	}
-	ig := &innerGPU{}
-	gt := NewGPUTee(r, ig)
 	now := time.Now()
-	gt.KernelLaunch("k", gpu.Dim3{X: 1, Y: 1, Z: 1}, gpu.Dim3{X: 32, Y: 1, Z: 1}, 0, 2, now, now.Add(time.Millisecond))
-	gt.KernelBlock("k", 0, gpu.Dim3{}, now, now.Add(time.Microsecond))
-	gt.KernelBlock("k", 1<<20, gpu.Dim3{}, now, now.Add(time.Microsecond)) // off-table worker
-	if ig.launches != 1 || ig.blocks != 2 {
-		t.Fatalf("gpu tee forwarding: %+v", ig)
-	}
-	// Out-of-range cluster ranks are dropped, matching the tracer.
-	ClusterListener(r, 2)(5, cluster.Event{})
-	if got := r.Len(); got != 4 {
-		t.Fatalf("ring holds %d records, want 4", got)
-	}
-	// The profiler mirror records the leaf frame.
-	SpanListener(r, "host")([]string{"app", "phase"}, now, now.Add(time.Millisecond))
-	found := false
+	SchedSink(r)(sched.TaskInfo{Executor: "caller", Worker: -1, Start: now, Dur: time.Microsecond})
+	gs := GPUSink(r)
+	gs(gpu.Event{Kernel: "k", Launch: true, Start: now, End: now.Add(time.Millisecond)})
+	gs(gpu.Event{Kernel: "k", Worker: 0, Start: now, End: now.Add(time.Microsecond)})
+	gs(gpu.Event{Kernel: "k", Worker: 1 << 20, Start: now, End: now.Add(time.Microsecond)}) // off-table worker
+	ClusterSink(r, 2)(cluster.Event{Rank: 5})
+	ProfileSink(r, "host")(profile.Span{Path: []string{"app", "phase"}, Start: now, End: now.Add(time.Millisecond)})
+
+	got := map[string]bool{}
 	for _, rec := range r.Snapshot() {
-		if rec.Name == "phase" && rec.Track == "host" {
-			found = true
+		got[rec.Track+" | "+rec.Name+"/"+rec.Detail] = true
+	}
+	for _, want := range []string{
+		"sched caller | parfor/stealing",
+		"gpu device | k/",
+		"gpu sm 0 | block/k",
+		"gpu sm 1048576 | block/k",
+		"host | phase/",
+	} {
+		if !got[want] {
+			t.Errorf("ring lacks %q; holds %v", want, got)
 		}
 	}
-	if !found {
-		t.Fatal("profiler span did not land in the ring")
+	if len(got) != 5 {
+		t.Fatalf("ring holds %d distinct records, want 5: %v", len(got), got)
 	}
 }

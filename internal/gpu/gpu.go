@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"perfeng/internal/machine"
-
+	"perfeng/internal/probe"
 	"perfeng/internal/sched"
 )
 
@@ -39,14 +39,28 @@ func (d Dim3) valid() bool { return d.X > 0 && d.Y > 0 && d.Z > 0 }
 // and thread indices and the block's shared memory.
 type Kernel func(blockIdx, threadIdx Dim3, shared []float64)
 
-// Recorder observes kernel execution for tracing: one KernelLaunch per
-// launch (host-side view) and one KernelBlock per executed block on its
-// worker "SM". Implementations must be safe for concurrent KernelBlock
-// calls; the obs layer provides one that turns these into device-track
-// spans with occupancy metadata.
-type Recorder interface {
-	KernelLaunch(name string, grid, block Dim3, sharedLen, workers int, start, end time.Time)
-	KernelBlock(name string, worker int, blockIdx Dim3, start, end time.Time)
+// RegsPerThread is the per-thread register count assumed when deriving
+// a launch's occupancy: the executor does not model registers, so this
+// is the usual CUDA compiler ballpark and the course's default kernel
+// budget.
+const RegsPerThread = 32
+
+// Event is one kernel-execution event on Device.Events: the host-side
+// view of a whole launch (Launch set), carrying the geometry, the
+// number of concurrently executing blocks and the modeled occupancy
+// at RegsPerThread; or one executed block on its worker "SM".
+type Event struct {
+	Kernel      string
+	Launch      bool
+	Grid, Block Dim3
+	SharedLen   int // per-block shared memory, in float64s
+	Workers     int
+	// Occupancy is computed once per launch; its Fraction is 0 when the
+	// block cannot fit on an SM.
+	Occupancy  Occupancy
+	Worker     int  // the lane that ran a block event
+	BlockIdx   Dim3 // the block a block event ran
+	Start, End time.Time
 }
 
 // Device executes kernels with the geometry of the modeled GPU.
@@ -55,8 +69,9 @@ type Device struct {
 	// Workers is the number of concurrently executing blocks (defaults to
 	// min(SMs, GOMAXPROCS)).
 	Workers int
-	// Recorder, when set, receives launch and per-block execution events.
-	Recorder Recorder
+	// Events receives one event per executed block and one per launch
+	// while any sink is attached. Block events arrive concurrently.
+	Events probe.Hook[Event]
 }
 
 // NewDevice creates a device for the model.
@@ -106,10 +121,10 @@ func (d *Device) LaunchNamed(name string, grid, block Dim3, sharedLen int, kerne
 	if workers > nBlocks {
 		workers = nBlocks
 	}
-	rec := d.Recorder
+	traced := d.Events.Active()
 	th := tel.Load()
 	launchStart := time.Time{}
-	if rec != nil || th != nil {
+	if traced || th != nil {
 		launchStart = time.Now()
 	}
 	// Blocks are handed out dynamically from a shared counter; each lane of
@@ -135,7 +150,7 @@ func (d *Device) LaunchNamed(name string, grid, block Dim3, sharedLen int, kerne
 						shared = make([]float64, sharedLen)
 					}
 					var blockStart time.Time
-					if rec != nil {
+					if traced {
 						blockStart = time.Now()
 					}
 					for tz := 0; tz < block.Z; tz++ {
@@ -145,21 +160,25 @@ func (d *Device) LaunchNamed(name string, grid, block Dim3, sharedLen int, kerne
 							}
 						}
 					}
-					if rec != nil {
-						rec.KernelBlock(name, lane, b, blockStart, time.Now())
+					if traced {
+						d.Events.Emit(Event{Kernel: name, Worker: lane, BlockIdx: b, Start: blockStart, End: time.Now()})
 					}
 				}
 			}
 		})
 		return nil
 	}()
-	if rec != nil || th != nil {
-		launchEnd := time.Now()
-		if rec != nil {
-			rec.KernelLaunch(name, grid, block, sharedLen, workers, launchStart, launchEnd)
+	if traced || th != nil {
+		ev := Event{Kernel: name, Launch: true, Grid: grid, Block: block, SharedLen: sharedLen,
+			Workers: workers, Start: launchStart, End: time.Now()}
+		// A block that cannot fit on an SM is reported through a zero
+		// Fraction, which every reader checks; the error adds nothing.
+		ev.Occupancy, _ = ComputeOccupancy(d.Model, block.Count(), RegsPerThread, sharedLen*8)
+		if traced {
+			d.Events.Emit(ev)
 		}
 		if th != nil {
-			d.publishLaunch(th, name, grid, block, sharedLen, launchEnd.Sub(launchStart).Seconds())
+			publishLaunch(th, ev)
 		}
 	}
 	return err

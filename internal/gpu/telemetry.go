@@ -11,11 +11,6 @@ import (
 // the labeled lookups here are cold-path; the disabled path is one
 // atomic load in LaunchNamed.
 
-// telemetryRegsPerThread is the per-thread register pressure assumed
-// when deriving launch occupancy for the gauge — the executor does not
-// model registers, so this matches the course's default kernel budget.
-const telemetryRegsPerThread = 32
-
 type telHandles struct {
 	launches   *telemetry.CounterFamily
 	blocks     *telemetry.CounterFamily
@@ -47,14 +42,13 @@ func EnableTelemetry(reg *telemetry.Registry) {
 	})
 }
 
-// publishLaunch records one completed launch. seconds is the host-side
-// wall-clock duration; occupancy is derived from the launch geometry
-// with the default register budget.
-func (d *Device) publishLaunch(th *telHandles, name string, grid, block Dim3, sharedLen int, seconds float64) {
-	th.launches.With(name).Inc()
-	th.blocks.With(name).Add(uint64(grid.Count()))
-	th.launchSecs.With(name).Observe(seconds)
-	if occ, err := ComputeOccupancy(d.Model, block.Count(), telemetryRegsPerThread, sharedLen*8); err == nil {
-		th.occupancy.With(name).Set(occ.Fraction)
+// publishLaunch records one completed launch event: its host-side
+// wall-clock duration and the occupancy the device computed for it.
+func publishLaunch(th *telHandles, ev Event) {
+	th.launches.With(ev.Kernel).Inc()
+	th.blocks.With(ev.Kernel).Add(uint64(ev.Grid.Count()))
+	th.launchSecs.With(ev.Kernel).Observe(ev.End.Sub(ev.Start).Seconds())
+	if ev.Occupancy.Fraction > 0 {
+		th.occupancy.With(ev.Kernel).Set(ev.Occupancy.Fraction)
 	}
 }

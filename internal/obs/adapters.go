@@ -10,9 +10,9 @@ import (
 	"perfeng/internal/cluster"
 	"perfeng/internal/counters"
 	"perfeng/internal/gpu"
-	"perfeng/internal/machine"
 	"perfeng/internal/profile"
 	"perfeng/internal/sched"
+	"perfeng/internal/telemetry"
 )
 
 // Adapters wiring the existing producers into one session timeline:
@@ -21,7 +21,7 @@ import (
 // event sets become sampled series, and SIMT kernel launches become
 // device-track spans with occupancy metadata.
 
-// Producer lane names. internal/flight's tees use the same functions,
+// Producer lane names. internal/flight's sinks use the same functions,
 // so a live session and a drained black box put each producer on the
 // same track. Labels for the lanes a default-sized pool, device or
 // world can name are interned once at init, keeping the per-task and
@@ -76,13 +76,13 @@ func GPUSMTrack(worker int) string { return smTracks.name(worker) }
 // RankTrack names the lane of a cluster rank: "rank N".
 func RankTrack(rank int) string { return rankTracks.name(rank) }
 
-// ProfileListener returns a profile.SpanListener mirroring every region
-// exit onto the track, preserving the region stack for the folded
-// export. Attach with p.Listen(track.ProfileListener()).
-func (t *Track) ProfileListener() profile.SpanListener {
-	return func(path []string, start, end time.Time) {
-		leaf := path[len(path)-1]
-		t.AddSpanAt(leaf, path[:len(path)-1], start, end, nil)
+// ProfileSink returns a profile.Profiler.Spans sink mirroring every
+// region exit onto t, preserving the region stack for the folded
+// export. Attach with p.Spans.Attach(obs.ProfileSink(track)).
+func ProfileSink(t *Track) func(profile.Span) {
+	return func(sp profile.Span) {
+		last := len(sp.Path) - 1
+		t.AddSpanAt(sp.Path[last], sp.Path[:last], sp.Start, sp.End, nil)
 	}
 }
 
@@ -95,7 +95,7 @@ func AddClusterTrace(s *Session, tr *cluster.Tracer) {
 	ws := tr.AnalyzeWaitStates()
 	for r := 0; r < tr.Size(); r++ {
 		t := s.Track(RankTrack(r))
-		for _, e := range tr.Events(r) {
+		for _, e := range tr.RankEvents(r) {
 			args := map[string]any{"bytes": e.Bytes}
 			if e.Peer >= 0 {
 				args["peer"] = e.Peer
@@ -162,88 +162,67 @@ func (cs *CounterSampler) record(at time.Duration, vals map[counters.Event]uint6
 	}
 }
 
-// GPURecorder implements gpu.Recorder: kernel launches become spans on a
-// "gpu device" track annotated with geometry and the occupancy analysis
-// of model.go, and each executed block becomes a nested span on its
-// worker's "gpu sm N" track.
-type GPURecorder struct {
-	s     *Session
-	model machine.GPU
-	// RegsPerThread is the per-thread register assumption fed to the
-	// occupancy calculation (the executor does not model registers);
-	// defaults to 32, the usual CUDA compiler ballpark.
-	RegsPerThread int
-}
-
-// NewGPURecorder creates a recorder emitting onto s for a device model.
-func NewGPURecorder(s *Session, model machine.GPU) *GPURecorder {
-	return &GPURecorder{s: s, model: model, RegsPerThread: 32}
-}
-
-// KernelLaunch implements gpu.Recorder.
-func (g *GPURecorder) KernelLaunch(name string, grid, block gpu.Dim3, sharedLen, workers int, start, end time.Time) {
-	args := map[string]any{
-		"grid":         fmt.Sprintf("%dx%dx%d", grid.X, grid.Y, grid.Z),
-		"block":        fmt.Sprintf("%dx%dx%d", block.X, block.Y, block.Z),
-		"blocks":       grid.Count(),
-		"threads":      grid.Count() * block.Count(),
-		"shared_bytes": sharedLen * 8,
-		"workers":      workers,
+// GPUSink returns a gpu.Device.Events sink: kernel launches become
+// spans on a "gpu device" track annotated with geometry and the
+// device's occupancy analysis (model.go), and each executed block
+// becomes a nested span on its worker's "gpu sm N" track. Attach with
+// dev.Events.Attach(obs.GPUSink(session)).
+func GPUSink(s *Session) func(gpu.Event) {
+	return func(ev gpu.Event) {
+		if !ev.Launch {
+			s.Track(GPUSMTrack(ev.Worker)).AddSpanAt("block", []string{ev.Kernel}, ev.Start, ev.End, map[string]any{
+				"blockIdx": fmt.Sprintf("(%d,%d,%d)", ev.BlockIdx.X, ev.BlockIdx.Y, ev.BlockIdx.Z),
+			})
+			return
+		}
+		grid, block := ev.Grid, ev.Block
+		args := map[string]any{
+			"grid":         fmt.Sprintf("%dx%dx%d", grid.X, grid.Y, grid.Z),
+			"block":        fmt.Sprintf("%dx%dx%d", block.X, block.Y, block.Z),
+			"blocks":       grid.Count(),
+			"threads":      grid.Count() * block.Count(),
+			"shared_bytes": ev.SharedLen * 8,
+			"workers":      ev.Workers,
+		}
+		if ev.Occupancy.Fraction > 0 {
+			args["occupancy"] = ev.Occupancy.Fraction
+			args["occupancy_limited_by"] = ev.Occupancy.LimitedBy
+		}
+		s.Track("gpu device").AddSpanAt(ev.Kernel, nil, ev.Start, ev.End, args)
 	}
-	if occ, err := gpu.ComputeOccupancy(g.model, block.Count(), g.RegsPerThread, sharedLen*8); err == nil {
-		args["occupancy"] = occ.Fraction
-		args["occupancy_limited_by"] = occ.LimitedBy
-	}
-	g.s.Track("gpu device").AddSpanAt(name, nil, start, end, args)
 }
 
-// KernelBlock implements gpu.Recorder.
-func (g *GPURecorder) KernelBlock(name string, worker int, blockIdx gpu.Dim3, start, end time.Time) {
-	t := g.s.Track(GPUSMTrack(worker))
-	t.AddSpanAt("block", []string{name}, start, end, map[string]any{
-		"blockIdx": fmt.Sprintf("(%d,%d,%d)", blockIdx.X, blockIdx.Y, blockIdx.Z),
-	})
-}
-
-// SchedObserver implements sched.Observer: every range a pool executes
-// becomes a span on a per-executor track ("sched worker 0", …, plus
-// "sched caller" for ranges a submitter ran in its help loop), named by
-// scheduling policy — the timeline view of how evenly a parallel
-// region spread over the pool. The span carries the submitting
+// SchedSink returns a sched.Pool.Tasks sink: every range a pool
+// executes becomes a span on a per-executor track ("sched worker 0", …,
+// plus "sched caller" for ranges a submitter ran in its help loop),
+// named by scheduling policy — the timeline view of how evenly a
+// parallel region spread over the pool. The span carries the submitting
 // region's id and fork offset plus steal provenance, so an offline
 // analyzer (internal/critpath) can rebuild fork/join and steal edges
-// from the exported trace alone. Attach with sched.Observe(
-// obs.NewSchedObserver(session)) and detach with sched.Observe(nil).
-type SchedObserver struct {
-	s *Session
-}
-
-// NewSchedObserver creates an observer emitting onto s.
-func NewSchedObserver(s *Session) *SchedObserver {
-	return &SchedObserver{s: s}
-}
-
-// TaskRan implements sched.Observer.
-func (o *SchedObserver) TaskRan(info sched.TaskInfo) {
-	off := o.s.At(info.Start)
-	args := map[string]any{
-		"region":  info.Region,
-		"worker":  info.Worker,
-		"origin":  info.Origin,
-		"stolen":  info.Stolen,
-		"fork_ns": int64(o.s.At(info.Forked)),
+// from the exported trace alone. Attach with
+// detach := pool.Tasks.Attach(obs.SchedSink(session)).
+func SchedSink(s *Session) func(sched.TaskInfo) {
+	return func(info sched.TaskInfo) {
+		off := s.At(info.Start)
+		args := map[string]any{
+			"region":  info.Region,
+			"worker":  info.Worker,
+			"origin":  info.Origin,
+			"stolen":  info.Stolen,
+			"fork_ns": int64(s.At(info.Forked)),
+		}
+		s.Track(SchedTrack(info.Executor)).AddSpanOffsets(
+			"parfor/"+info.Policy.String(), nil, off, off+info.Dur, args)
 	}
-	o.s.Track(SchedTrack(info.Executor)).AddSpanOffsets(
-		"parfor/"+info.Policy.String(), nil, off, off+info.Dur, args)
 }
 
 // SessionSink is a swappable indirection in front of the current
-// session: long-lived consumers (the telemetry collector's sample
-// bridge, the monitoring server's trace endpoints) hold one stable sink
+// session: long-lived consumers (the telemetry collector's Samples
+// hook, the monitoring server's trace endpoints) hold one stable sink
 // while a rolling workload loop rotates fresh sessions underneath it.
-// It satisfies telemetry.SampleSink and, via Current, supplies
-// telemetry.TraceSource; samples arriving while no session is attached
-// are dropped.
+// Its Sample method is a telemetry.Collector.Samples sink and, via
+// Current, it supplies telemetry.TraceSource; samples arriving while
+// no session is attached are dropped.
 type SessionSink struct {
 	cur atomic.Pointer[Session]
 }
@@ -261,9 +240,9 @@ func (k *SessionSink) Set(s *Session) { k.cur.Store(s) }
 // Current returns the session currently receiving samples, or nil.
 func (k *SessionSink) Current() *Session { return k.cur.Load() }
 
-// CounterSample forwards one sampled value to the current session.
-func (k *SessionSink) CounterSample(name string, v float64) {
+// Sample forwards one collector sample to the current session.
+func (k *SessionSink) Sample(smp telemetry.Sample) {
 	if s := k.cur.Load(); s != nil {
-		s.CounterSample(name, v)
+		s.CounterSample(smp.Name, smp.Value)
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"perfeng/internal/profile"
 )
 
-func TestProfileListenerMirrorsRegions(t *testing.T) {
+func TestProfileSinkMirrorsRegions(t *testing.T) {
 	s := NewSession("test")
 	p := profile.New()
-	p.Listen(s.Track("host").ProfileListener())
+	p.Spans.Attach(ProfileSink(s.Track("host")))
 
 	p.Enter("outer")
 	p.Enter("inner")
@@ -37,7 +37,7 @@ func TestProfileListenerMirrorsRegions(t *testing.T) {
 	if spans[1].Name != "outer" {
 		t.Fatalf("outer span = %+v", spans[1])
 	}
-	// The profiler's own statistics must be untouched by listening.
+	// The profiler's own statistics must be untouched by the sink.
 	if got := len(p.Regions()); got != 2 {
 		t.Fatalf("profiler regions = %d", got)
 	}
@@ -131,14 +131,14 @@ func TestCounterSampler(t *testing.T) {
 	}
 }
 
-func TestGPURecorder(t *testing.T) {
+func TestGPUSink(t *testing.T) {
 	model := machine.DAS5TitanX()
 	dev, err := gpu.NewDevice(model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSession("test")
-	dev.Recorder = NewGPURecorder(s, model)
+	dev.Events.Attach(GPUSink(s))
 
 	n := 1 << 12
 	out := make([]float64, n)
@@ -171,8 +171,16 @@ func TestGPURecorder(t *testing.T) {
 	if blocks != n/256 {
 		t.Fatalf("block spans = %d, want %d", blocks, n/256)
 	}
-	if launch.Args["occupancy"] == nil || launch.Args["blocks"].(int) != n/256 {
+	if launch.Args["blocks"].(int) != n/256 {
 		t.Fatalf("launch args = %v", launch.Args)
+	}
+	occ, err := gpu.ComputeOccupancy(model, 256, gpu.RegsPerThread, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if launch.Args["occupancy"] != occ.Fraction || launch.Args["occupancy_limited_by"] != occ.LimitedBy {
+		t.Fatalf("launch occupancy args = %v, %v; want %v, %v", launch.Args["occupancy"],
+			launch.Args["occupancy_limited_by"], occ.Fraction, occ.LimitedBy)
 	}
 	// Device track plus at least one SM track exist. Which SM lanes
 	// appear depends on which workers claimed blocks, so only their
@@ -183,8 +191,8 @@ func TestGPURecorder(t *testing.T) {
 	}
 }
 
-// TestLaneTracks pins the lane names the session adapters and the
-// flight tees share, on and off the interned tables, and that the
+// TestLaneTracks pins the lane names the session sinks and the flight
+// sinks share, on and off the interned tables, and that the
 // interned lookups build no strings.
 func TestLaneTracks(t *testing.T) {
 	for _, c := range []struct{ got, want string }{

@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"perfeng/internal/probe"
 )
 
 // Region accumulates the statistics of one named region.
@@ -32,28 +34,30 @@ type frame struct {
 	inChild time.Duration
 }
 
-// SpanListener observes every region exit as a timestamped span: path is
-// the full region stack (outermost first, the exiting region last), start
-// and end bound the interval. A listener lets a timeline consumer (the
-// obs tracing layer) mirror the profiler's regions without the profiler
-// depending on it.
-type SpanListener func(path []string, start, end time.Time)
+// Span is one region exit as a timestamped interval: Path is the full
+// region stack (outermost first, the exiting region last), Start and
+// End bound the interval. Spans let a timeline consumer (the obs
+// tracing layer, the flight recorder) mirror the profiler's regions
+// without the profiler depending on it.
+type Span struct {
+	Path       []string
+	Start, End time.Time
+}
 
 // Profiler collects region statistics on one goroutine.
 type Profiler struct {
-	regions  map[string]*Region
-	stack    []frame
-	now      func() time.Time // injectable clock for tests
-	listener SpanListener
+	regions map[string]*Region
+	stack   []frame
+	now     func() time.Time // injectable clock for tests
+	// Spans receives one Span per Exit while any sink is attached. The
+	// Path slice is fresh per span, so a sink may keep it.
+	Spans probe.Hook[Span]
 }
 
 // New creates an empty profiler.
 func New() *Profiler {
 	return &Profiler{regions: make(map[string]*Region), now: time.Now}
 }
-
-// Listen attaches a span listener called on every Exit; nil detaches.
-func (p *Profiler) Listen(l SpanListener) { p.listener = l }
 
 // Enter pushes a region onto the stack.
 func (p *Profiler) Enter(name string) {
@@ -74,12 +78,12 @@ func (p *Profiler) Exit(name string) error {
 	p.stack = p.stack[:len(p.stack)-1]
 	end := p.now()
 	elapsed := end.Sub(top.start)
-	if p.listener != nil {
+	if p.Spans.Active() {
 		path := make([]string, 0, len(p.stack)+1)
 		for _, f := range p.stack {
 			path = append(path, f.name)
 		}
-		p.listener(append(path, name), top.start, end)
+		p.Spans.Emit(Span{Path: append(path, name), Start: top.start, End: end})
 	}
 
 	r, ok := p.regions[name]

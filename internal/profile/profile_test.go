@@ -276,34 +276,28 @@ func TestMergeDeterministic(t *testing.T) {
 // the full region stack and interval, and detaching stops the stream.
 func TestSpanListener(t *testing.T) {
 	p := newFake(time.Millisecond)
-	type span struct {
-		path       []string
-		start, end time.Time
-	}
-	var got []span
-	p.Listen(func(path []string, start, end time.Time) {
-		got = append(got, span{append([]string(nil), path...), start, end})
-	})
+	var got []Span
+	detach := p.Spans.Attach(func(sp Span) { got = append(got, sp) })
 	p.Enter("outer")
 	p.Enter("inner")
 	_ = p.Exit("inner")
 	_ = p.Exit("outer")
 	if len(got) != 2 {
-		t.Fatalf("listener calls = %d, want 2", len(got))
+		t.Fatalf("span events = %d, want 2", len(got))
 	}
-	if strings.Join(got[0].path, "/") != "outer/inner" {
-		t.Fatalf("inner path = %v", got[0].path)
+	if strings.Join(got[0].Path, "/") != "outer/inner" {
+		t.Fatalf("inner path = %v", got[0].Path)
 	}
-	if strings.Join(got[1].path, "/") != "outer" {
-		t.Fatalf("outer path = %v", got[1].path)
+	if strings.Join(got[1].Path, "/") != "outer" {
+		t.Fatalf("outer path = %v", got[1].Path)
 	}
-	if d := got[0].end.Sub(got[0].start); d != time.Millisecond {
+	if d := got[0].End.Sub(got[0].Start); d != time.Millisecond {
 		t.Fatalf("inner interval = %v", d)
 	}
-	p.Listen(nil)
+	detach()
 	p.Enter("quiet")
 	_ = p.Exit("quiet")
 	if len(got) != 2 {
-		t.Fatal("detached listener still called")
+		t.Fatal("detached sink still called")
 	}
 }

@@ -1,25 +1,13 @@
-// Observability hook: an Observer attached to a pool receives one
-// callback per executed range, labeled by executor and carrying its
-// fork/join provenance, so a trace timeline can show which executor ran
-// which part of each parallel region and how evenly the work spread.
-// The obs package provides the session adapter (obs.NewSchedObserver)
-// and flight the black-box tee, following the same producer-interface /
-// adapter split as gpu.Recorder — sched cannot import obs without a
-// cycle through the kernels.
+// Observability hook: every pool exposes its executed ranges on
+// Pool.Tasks, one TaskInfo per range, labeled by executor and carrying
+// its fork/join provenance, so a trace timeline can show which executor
+// ran which part of each parallel region and how evenly the work
+// spread. obs (obs.SchedSink) and flight (flight.SchedSink) provide the
+// sinks; sched cannot import either without a cycle through the
+// kernels.
 package sched
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// Observer receives executed-range events from a pool. Implementations
-// must be safe for concurrent use: workers report in parallel.
-type Observer interface {
-	// TaskRan reports that info.Executor ran one range of a parallel
-	// region.
-	TaskRan(info TaskInfo)
-}
+import "time"
 
 // TaskInfo is one executed range with enough provenance to reconstruct
 // fork/join and steal edges from a trace. Every range belongs to
@@ -50,35 +38,17 @@ type TaskInfo struct {
 	Lo, Hi int
 }
 
-// observerBox lets an interface value live in an atomic.Pointer.
-type observerBox struct{ o Observer }
-
-type obsCell = atomic.Pointer[observerBox]
-
-// Observe mirrors executed ranges into o. Passing nil detaches. The
-// disabled path is one atomic load per task.
-func (p *Pool) Observe(o Observer) {
-	if o == nil {
-		p.obs.Store(nil)
-		return
-	}
-	p.obs.Store(&observerBox{o: o})
-}
-
-// Observe attaches o to the default pool (see Pool.Observe).
-func Observe(o Observer) { Default().Observe(o) }
-
 // callerExecutor labels ranges run by the submitting goroutine.
 const callerExecutor = "caller"
 
-// observeTask reports one executed range to the attached observer.
-func observeTask(box *observerBox, w *worker, t task, start time.Time, dur time.Duration) {
+// emitTask reports one executed range to p's task sinks.
+func (p *Pool) emitTask(w *worker, t task, start time.Time, dur time.Duration) {
 	j := t.j
 	exec, wid := callerExecutor, -1
 	if w != nil {
 		exec, wid = w.obsName, w.id
 	}
-	box.o.TaskRan(TaskInfo{
+	p.Tasks.Emit(TaskInfo{
 		Executor: exec,
 		Worker:   wid,
 		Origin:   t.origin,

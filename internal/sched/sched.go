@@ -33,6 +33,8 @@ package sched
 import (
 	"runtime"
 	"sync"
+
+	"perfeng/internal/probe"
 )
 
 // Policy selects how a parallel region is decomposed into tasks.
@@ -69,8 +71,10 @@ func (p Policy) String() string {
 // inside a body running on the pool (nested parallelism).
 type Pool struct {
 	state stateCell
-	_     [56]byte // state is loaded on every dispatch; keep it off the obs pointer's cache line
-	obs   obsCell
+	_     [56]byte // state is loaded on every dispatch; keep it off the Tasks hook's cache line
+	// Tasks receives one TaskInfo per executed range while any sink is
+	// attached; unobserved, a range costs one atomic load here.
+	Tasks probe.Hook[TaskInfo]
 }
 
 // New creates a pool with the given number of workers. workers < 0

@@ -384,15 +384,15 @@ func TestTelemetry(t *testing.T) {
 	}
 }
 
-// recordingObserver is a concurrency-safe Observer fake recording every
-// TaskInfo; the session adapter itself is covered in the obs package's
+// recordingObserver is a concurrency-safe task sink recording every
+// TaskInfo; the session sink itself is covered in the obs package's
 // tests.
 type recordingObserver struct {
 	mu    sync.Mutex
 	infos []TaskInfo
 }
 
-func (o *recordingObserver) TaskRan(info TaskInfo) {
+func (o *recordingObserver) record(info TaskInfo) {
 	o.mu.Lock()
 	o.infos = append(o.infos, info)
 	o.mu.Unlock()
@@ -402,15 +402,14 @@ func TestObserve(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	rec := &recordingObserver{}
-	p.Observe(rec)
-	defer p.Observe(nil)
+	defer p.Tasks.Attach(rec.record)()
 	var total atomic.Int64
 	p.For(4096, 16, func(lo, hi int) { total.Add(int64(hi - lo)) })
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.infos) == 0 {
-		t.Fatal("no TaskRan callbacks recorded")
+		t.Fatal("no task events recorded")
 	}
 	stealing := false
 	for _, info := range rec.infos {
@@ -432,8 +431,7 @@ func TestObserveProvenance(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	rec := &recordingObserver{}
-	p.Observe(rec)
-	defer p.Observe(nil)
+	defer p.Tasks.Attach(rec.record)()
 
 	const n = 4096
 	p.ForPolicy(PolicyStealing, n, 16, func(lo, hi int) {})
@@ -442,7 +440,7 @@ func TestObserveProvenance(t *testing.T) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.infos) == 0 {
-		t.Fatal("no TaskRan callbacks recorded")
+		t.Fatal("no task events recorded")
 	}
 	regions := make(map[uint64][]TaskInfo)
 	for _, info := range rec.infos {

@@ -91,7 +91,7 @@ type worker struct {
 	dq    *deque
 	rng   uint64 // xorshift state for victim selection
 
-	obsName string // pre-interned "worker N" for Observer callbacks
+	obsName string // pre-interned "worker N" for TaskInfo.Executor
 
 	// Cached labeled-telemetry handles, invalidated when the telemetry
 	// generation changes, so the per-task hot path never takes the
@@ -221,7 +221,7 @@ func (p *Pool) dispatch(pol Policy, n, grain int, fn func(int, int), wfn func(in
 	j.ring = r
 	j.lane = nw
 	j.region, j.forked = 0, time.Time{}
-	if p.obs.Load() != nil {
+	if p.Tasks.Active() {
 		j.region = regionIDs.Add(1)
 		j.forked = time.Now()
 	}
@@ -358,8 +358,8 @@ func (p *Pool) runTask(w *worker, t task) {
 	if th := tel.Load(); th != nil {
 		publishTask(th, w, dur)
 	}
-	if ob := p.obs.Load(); ob != nil {
-		observeTask(ob, w, t, start, dur)
+	if p.Tasks.Active() {
+		p.emitTask(w, t, start, dur)
 	}
 	if j.pending.Add(-1) == 0 {
 		j.wg.Done() // j may be reused immediately; touch nothing after

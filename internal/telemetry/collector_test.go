@@ -36,9 +36,9 @@ type testSink struct {
 	samples map[string][]float64
 }
 
-func (s *testSink) CounterSample(name string, v float64) {
+func (s *testSink) record(smp Sample) {
 	s.mu.Lock()
-	s.samples[name] = append(s.samples[name], v)
+	s.samples[smp.Name] = append(s.samples[smp.Name], smp.Value)
 	s.mu.Unlock()
 }
 
@@ -46,7 +46,7 @@ func TestCollectorBridgesToSink(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCollector(reg, time.Second)
 	sink := &testSink{samples: map[string][]float64{}}
-	c.SetSink(sink)
+	defer c.Samples.Attach(sink.record)()
 	c.SampleOnce()
 	c.SampleOnce()
 	sink.mu.Lock()

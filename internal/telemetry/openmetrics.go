@@ -20,8 +20,13 @@ import (
 // take the _total suffix, histograms expand to cumulative _bucket lines
 // with le labels plus _sum and _count), closed by the mandatory # EOF.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
+	return writeFamilies(w, r.Snapshot())
+}
+
+// writeFamilies renders family snapshots as WriteOpenMetrics does.
+func writeFamilies(w io.Writer, fams []FamilySnapshot) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range r.Snapshot() {
+	for _, f := range fams {
 		if f.Help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
 		}
@@ -176,6 +181,9 @@ func ParseOpenMetrics(r io.Reader) ([]FamilySnapshot, error) {
 				fam(fields[2]).Help = unescapeHelp(fields[3])
 			case len(fields) >= 4 && fields[1] == "TYPE":
 				f := fam(fields[2])
+				if len(f.Series) > 0 {
+					return nil, fmt.Errorf("telemetry: line %d: TYPE of %q after its samples", lineNo, f.Name)
+				}
 				switch fields[3] {
 				case "counter":
 					f.Kind = KindCounter
@@ -198,6 +206,9 @@ func ParseOpenMetrics(r io.Reader) ([]FamilySnapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("telemetry: line %d: sample %q before its TYPE line", lineNo, name)
 		}
+		if suffix == "" && f.Kind == KindHistogram {
+			return nil, fmt.Errorf("telemetry: line %d: histogram sample %q lacks _bucket, _sum or _count", lineNo, name)
+		}
 		var le string
 		kept := labels[:0]
 		for _, l := range labels {
@@ -208,10 +219,16 @@ func ParseOpenMetrics(r io.Reader) ([]FamilySnapshot, error) {
 			kept = append(kept, l)
 		}
 		labels = kept
-		if len(f.Series) == 0 && len(labels) > 0 {
-			for _, l := range labels {
-				f.LabelNames = append(f.LabelNames, l.name)
-			}
+		// The first series fixes the family's label names; every other
+		// series must carry the same, or the writer could not say it back.
+		names := make([]string, len(labels))
+		for i, l := range labels {
+			names[i] = l.name
+		}
+		if len(f.Series) == 0 {
+			f.LabelNames = names
+		} else if !equalStrings(f.LabelNames, names) {
+			return nil, fmt.Errorf("telemetry: line %d: labels %v of %q differ from the family's %v", lineNo, names, name, f.LabelNames)
 		}
 		s := seriesFor(f, labels)
 		switch suffix {
@@ -222,7 +239,9 @@ func ParseOpenMetrics(r io.Reader) ([]FamilySnapshot, error) {
 		case "_sum":
 			s.Sum = value
 		case "_count":
-			s.Count = uint64(value)
+			if s.Count, err = parseCount(value); err != nil {
+				return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+			}
 		case "_bucket":
 			ub := math.Inf(1)
 			if le != "+Inf" {
@@ -231,7 +250,11 @@ func ParseOpenMetrics(r io.Reader) ([]FamilySnapshot, error) {
 					return nil, fmt.Errorf("telemetry: line %d: bad le %q", lineNo, le)
 				}
 			}
-			s.Buckets = append(s.Buckets, Bucket{UpperBound: ub, CumulativeCount: uint64(value)})
+			n, err := parseCount(value)
+			if err != nil {
+				return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+			}
+			s.Buckets = append(s.Buckets, Bucket{UpperBound: ub, CumulativeCount: n})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -255,22 +278,44 @@ func ParseOpenMetrics(r io.Reader) ([]FamilySnapshot, error) {
 	return out, nil
 }
 
+// parseCount converts a sample value to an observation count: a whole
+// number in [0, 2^64), the range a count round-trips through float64 in.
+func parseCount(v float64) (uint64, error) {
+	if !(v >= 0 && v < 1<<64) || v != math.Trunc(v) {
+		return 0, fmt.Errorf("count %v is not a whole number in [0, 2^64)", v)
+	}
+	return uint64(v), nil
+}
+
 // sampleSuffixes are the OpenMetrics sample-name suffixes, hoisted so
 // splitSuffix (called per sample line) does not rebuild the table.
 var sampleSuffixes = [...]string{"_bucket", "_sum", "_count", "_total"}
 
 // splitSuffix maps a sample name back to its family: histogram series
 // sample names carry _bucket/_sum/_count, counters _total. The family
-// is whichever declared (TYPE'd) name the sample name extends.
+// is whichever declared (TYPE'd) name the sample name extends with a
+// suffix its kind has; otherwise the name is taken whole.
 func splitSuffix(name string, byName map[string]*FamilySnapshot) (base, suffix string) {
 	for _, suf := range sampleSuffixes {
 		if b, ok := strings.CutSuffix(name, suf); ok {
-			if _, declared := byName[b]; declared {
+			if f, declared := byName[b]; declared && suffixFits(f.Kind, suf) {
 				return b, suf
 			}
 		}
 	}
 	return name, ""
+}
+
+// suffixFits reports whether the writer emits suffix for a family of
+// kind k.
+func suffixFits(k Kind, suffix string) bool {
+	switch k {
+	case KindCounter:
+		return suffix == "_total"
+	case KindHistogram:
+		return suffix != "_total"
+	}
+	return false
 }
 
 type labelPair struct{ name, value string }

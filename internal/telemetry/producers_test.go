@@ -8,14 +8,18 @@ package telemetry_test
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"perfeng/internal/cluster"
+	"perfeng/internal/flight"
 	"perfeng/internal/gpu"
 	"perfeng/internal/machine"
 	"perfeng/internal/metrics"
+	"perfeng/internal/obs"
 	"perfeng/internal/queuing"
+	"perfeng/internal/sched"
 	"perfeng/internal/simulator"
 	"perfeng/internal/telemetry"
 )
@@ -230,6 +234,42 @@ func BenchmarkProducerOverhead(b *testing.B) {
 		queuing.EnableTelemetry(reg)
 		defer queuing.EnableTelemetry(nil)
 		run(b)
+	})
+
+	// The timeline fan-out: one parallel region of 16 tasks on a
+	// two-worker pool with no task sink, with the flight recorder's, and
+	// with the flight recorder's plus a live obs session's. The session
+	// is replaced every 256 regions so its span list stays small.
+	const n, grain = 4096, 256
+	var total atomic.Int64
+	body := func(lo, hi int) { total.Add(int64(hi - lo)) }
+	forCase := func(name string, sinks func(p *sched.Pool) (detach func())) {
+		b.Run("sched-for/"+name, func(b *testing.B) {
+			p := sched.New(2)
+			defer p.Close()
+			detach := sinks(p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 255 {
+					b.StopTimer()
+					detach()
+					detach = sinks(p)
+					b.StartTimer()
+				}
+				p.For(n, grain, body)
+			}
+			b.StopTimer()
+			detach()
+		})
+	}
+	rec := flight.NewRecorder(0)
+	forCase("no-sink", func(*sched.Pool) func() { return func() {} })
+	forCase("flight", func(p *sched.Pool) func() { return p.Tasks.Attach(flight.SchedSink(rec)) })
+	forCase("flight+obs", func(p *sched.Pool) func() {
+		detachObs := p.Tasks.Attach(obs.SchedSink(obs.NewSession("bench")))
+		detachFlight := p.Tasks.Attach(flight.SchedSink(rec))
+		return func() { detachObs(); detachFlight() }
 	})
 }
 

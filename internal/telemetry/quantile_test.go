@@ -158,21 +158,6 @@ func TestFindLookups(t *testing.T) {
 	}
 }
 
-type recordingSink struct{ names []string }
-
-func (r *recordingSink) CounterSample(name string, v float64) { r.names = append(r.names, name) }
-
-// TestTeeSink: every non-nil member receives every sample.
-func TestTeeSink(t *testing.T) {
-	a, b := &recordingSink{}, &recordingSink{}
-	tee := TeeSink(a, nil, b)
-	tee.CounterSample("x", 1)
-	tee.CounterSample("y", 2)
-	if len(a.names) != 2 || len(b.names) != 2 || a.names[0] != "x" || b.names[1] != "y" {
-		t.Fatalf("tee did not fan out: a=%v b=%v", a.names, b.names)
-	}
-}
-
 // TestCollectorDerivedGauges: the steal-failure ratio and GC pause burn
 // gauges derive from interval deltas — zero on the first pass, and the
 // steal ratio reflects counter movement between passes.

@@ -99,7 +99,7 @@ func Lookup(kernel string, n int) (Config, bool) {
 		return Config{}, false
 	}
 	th := tel.Load()
-	th.lookups().Inc()
+	th.lookups.Inc()
 	es := t.byKernel[kernel]
 	best := -1
 	var bestRatio float64
@@ -118,9 +118,9 @@ func Lookup(kernel string, n int) (Config, bool) {
 		}
 	}
 	if best < 0 {
-		th.misses().Inc()
+		th.misses.Inc()
 		return Config{}, false
 	}
-	th.hits().Inc()
+	th.hits.Inc()
 	return es[best].cfg, true
 }

@@ -164,8 +164,8 @@ func Search(kernel string, n int, def Config, grid []Config, measure Measurer, o
 			return nil, fmt.Errorf("tune: %s/%s %v: measurer returned %d samples, need >= 2",
 				kernel, stage, cfg, len(s))
 		}
-		th.trials().Inc()
-		th.trialSeconds().Observe(time.Since(start).Seconds())
+		th.trials.Inc()
+		th.trialSecs.Observe(time.Since(start).Seconds())
 		res.Trials = append(res.Trials, Trial{
 			Config: cfg, Stage: stage, Reps: reps, MeanNs: stats.Mean(s),
 		})
@@ -179,7 +179,7 @@ func Search(kernel string, n int, def Config, grid []Config, measure Measurer, o
 	res.DefaultNs = stats.Mean(defSamples)
 	res.DefaultSamples = defSamples
 	champ, champSamples := def, defSamples
-	th.bestNs(kernel).Set(res.DefaultNs)
+	th.bestNs.With(kernel).Set(res.DefaultNs)
 
 	// promote applies the comparator; it is the only way champ moves.
 	promote := func(cfg Config, samples []float64, stage string) bool {
@@ -192,8 +192,8 @@ func Search(kernel string, n int, def Config, grid []Config, measure Measurer, o
 			From: champ, To: cfg, Stage: stage, Delta: (mi - mc) / mi, Welch: w, Accept: true,
 		})
 		champ, champSamples = cfg, samples
-		th.promotions().Inc()
-		th.bestNs(kernel).Set(mc)
+		th.promotions.Inc()
+		th.bestNs.With(kernel).Set(mc)
 		return true
 	}
 
@@ -232,7 +232,7 @@ func Search(kernel string, n int, def Config, grid []Config, measure Measurer, o
 				continue
 			}
 			markPruned(res, sc.cfg, stage)
-			th.prunes().Inc()
+			th.prunes.Inc()
 		}
 		if reps < opts.FinalReps {
 			reps *= 2

@@ -1,8 +1,8 @@
 // Live-telemetry hooks for the tuner, following the repo-wide
 // EnableTelemetry(reg) pattern: one atomic pointer load on the lookup
-// hot path when disabled, nil-safe handles (which no-op) when a field
-// is absent, so neither Lookup nor the search engine ever branches on
-// "is telemetry on" beyond the single load.
+// hot path. Disabled, the loaded handles are nil metrics, which no-op,
+// so neither Lookup nor the search engine branches on "is telemetry
+// on".
 package tune
 
 import (
@@ -12,77 +12,21 @@ import (
 )
 
 type telHandles struct {
-	lookupsC    *telemetry.Counter
-	hitsC       *telemetry.Counter
-	missesC     *telemetry.Counter
-	trialsC     *telemetry.Counter
-	prunesC     *telemetry.Counter
-	promotionsC *telemetry.Counter
-	bestNsG     *telemetry.GaugeFamily
-	trialSecsH  *telemetry.Histogram
+	lookups    *telemetry.Counter
+	hits       *telemetry.Counter
+	misses     *telemetry.Counter
+	trials     *telemetry.Counter
+	prunes     *telemetry.Counter
+	promotions *telemetry.Counter
+	bestNs     *telemetry.GaugeFamily
+	trialSecs  *telemetry.Histogram
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry, whose nil metrics no-op.
 var tel atomic.Pointer[telHandles]
 
-// The accessors tolerate a nil receiver so call sites read the handle
-// set once (tel.Load()) and use it unconditionally — a nil handle
-// returns a nil metric, whose methods no-op by telemetry's contract.
-
-func (t *telHandles) lookups() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.lookupsC
-}
-
-func (t *telHandles) hits() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.hitsC
-}
-
-func (t *telHandles) misses() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.missesC
-}
-
-func (t *telHandles) trials() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.trialsC
-}
-
-func (t *telHandles) prunes() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.prunesC
-}
-
-func (t *telHandles) promotions() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.promotionsC
-}
-
-func (t *telHandles) bestNs(kernel string) *telemetry.Gauge {
-	if t == nil {
-		return nil
-	}
-	return t.bestNsG.With(kernel)
-}
-
-func (t *telHandles) trialSeconds() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.trialSecsH
-}
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes tuner activity to reg: cache lookups with
 // hit/miss split (the runtime side), and trials, prunes, promotions,
@@ -90,27 +34,23 @@ func (t *telHandles) trialSeconds() *telemetry.Histogram {
 // so a tuning run shows up in perfeng serve and the flight recorder
 // like any other workload. Passing nil stops publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	tel.Store(&telHandles{
-		lookupsC: reg.Counter("perfeng_tune_lookups",
+		lookups: reg.Counter("perfeng_tune_lookups",
 			"Tuning-cache lookups from kernel dispatch paths."),
-		hitsC: reg.Counter("perfeng_tune_lookup_hits",
+		hits: reg.Counter("perfeng_tune_lookup_hits",
 			"Lookups that found an applicable tuned config."),
-		missesC: reg.Counter("perfeng_tune_lookup_misses",
+		misses: reg.Counter("perfeng_tune_lookup_misses",
 			"Lookups with an active table but no shape in range."),
-		trialsC: reg.Counter("perfeng_tune_trials",
+		trials: reg.Counter("perfeng_tune_trials",
 			"Candidate configurations measured by the search."),
-		prunesC: reg.Counter("perfeng_tune_prunes",
+		prunes: reg.Counter("perfeng_tune_prunes",
 			"Candidates dropped by a successive-halving round."),
-		promotionsC: reg.Counter("perfeng_tune_promotions",
+		promotions: reg.Counter("perfeng_tune_promotions",
 			"Champion replacements that passed the Welch-t comparator."),
-		bestNsG: reg.GaugeFamily("perfeng_tune_best_ns",
+		bestNs: reg.GaugeFamily("perfeng_tune_best_ns",
 			"Best-so-far mean ns/op of the incumbent champion.", "kernel"),
 		// 2^-10 s ≈ 1 ms up to 2^6 = 64 s per trial.
-		trialSecsH: reg.Histogram("perfeng_tune_trial_seconds",
+		trialSecs: reg.Histogram("perfeng_tune_trial_seconds",
 			"Wall-clock duration of one candidate trial.", -10, 6),
 	})
 }
