@@ -19,6 +19,9 @@
 //	perfeng critpath -input trace.json -hints hints.json
 //	perfeng serve -addr 127.0.0.1:8091 -loop=false       # perfengd: job daemon
 //	perfeng loadtest -clients 500 -duration 10s -fail-p99 2s
+//	perfeng roofline -machine das5 -cache-aware
+//	perfeng microbench -quick -ilp
+//	perfeng courseviz -artifact table2a -markdown
 package main
 
 import (
@@ -49,13 +52,25 @@ var commands = []command{
 	{"tune", "[flags]", "search kernel configs, persist winners to TUNED.json", runTune},
 	{"critpath", "[flags]", "critical-path analysis of a trace, what-if speedups", runCritpath},
 	{"loadtest", "[flags]", "drive the job service with closed-loop clients", runLoadtest},
+	{"roofline", "[flags]", "print a machine's roofline, optionally with a kernel on it", toStdout(writeRoofline)},
+	{"microbench", "[flags]", "run the calibration microbenchmarks, fit a machine model", toStdout(writeMicrobench)},
+	{"courseviz", "[flags]", "regenerate the paper's figures and tables", toStdout(writeCourseviz)},
+}
+
+// toStdout adapts a command that writes its output to w.
+func toStdout(cmd func(w io.Writer, args []string) error) func(args []string) {
+	return func(args []string) {
+		if err := cmd(os.Stdout, args); err != nil {
+			fatal(err)
+		}
+	}
 }
 
 // writeUsage prints the command synopsis, one line per table entry.
 func writeUsage(w io.Writer) {
-	fmt.Fprintf(w, "usage: perfeng %-17s %s\n", "[flags]", "run the seven-stage process on a kernel")
+	fmt.Fprintf(w, "usage: perfeng %-18s %s\n", "[flags]", "run the seven-stage process on a kernel")
 	for _, c := range commands {
-		fmt.Fprintf(w, "       perfeng %-17s %s\n", c.name+" "+c.args, c.summary)
+		fmt.Fprintf(w, "       perfeng %-18s %s\n", c.name+" "+c.args, c.summary)
 	}
 	fmt.Fprintln(w, "run 'perfeng <command> -help' for a command's flags")
 }
