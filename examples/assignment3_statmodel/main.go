@@ -1,6 +1,6 @@
 // Assignment 3: statistical modeling. Collect SpMV performance data over
 // several matrix families, engineer features from the non-zero structure,
-// fit black-box models (OLS, k-NN, CART, random forest), cross-validate,
+// fit black-box models (OLS, ridge, k-NN, CART, random forest), cross-validate,
 // and contrast their accuracy and interpretability with an analytical
 // model — "the highly-explainable analytical model vs. the black-box
 // statistical models".
@@ -58,6 +58,7 @@ func main() {
 	}
 	models := []statmodel.Regressor{
 		&statmodel.LinearRegression{},
+		&statmodel.LinearRegression{ModelName: "ridge", Ridge: 1},
 		&statmodel.KNN{K: 3, Weighted: true},
 		&statmodel.RegressionTree{MaxDepth: 7},
 		&statmodel.RandomForest{Trees: 40, MaxDepth: 8, Seed: 3},
