@@ -222,13 +222,27 @@ func TestMeasureReadBandwidth(t *testing.T) {
 }
 
 func TestBandwidthProfile(t *testing.T) {
-	prof := BandwidthProfile([]int{32 << 10, 8 << 20}, 1<<24)
-	if len(prof) != 2 {
-		t.Fatalf("profile = %v", prof)
-	}
-	for _, p := range prof {
-		if p.GBs <= 0 {
-			t.Fatalf("profile entry %v", p)
+	// Best of three rounds per size: each round measures both sizes, so
+	// a stall on the host lowers one sample of one size, not the verdict.
+	var prof []BandwidthResult
+	for round := 0; round < 3; round++ {
+		r := BandwidthProfile([]int{32 << 10, 8 << 20}, 1<<24)
+		if len(r) != 2 {
+			t.Fatalf("profile = %v", r)
+		}
+		for _, p := range r {
+			if p.GBs <= 0 {
+				t.Fatalf("profile entry %v", p)
+			}
+		}
+		if prof == nil {
+			prof = r
+			continue
+		}
+		for i := range r {
+			if r[i].GBs > prof[i].GBs {
+				prof[i] = r[i]
+			}
 		}
 	}
 	// The cache-resident working set should sustain at least the DRAM
