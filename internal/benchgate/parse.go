@@ -3,6 +3,7 @@ package benchgate
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -34,7 +35,9 @@ func ParseGoBench(r io.Reader) (*ResultSet, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		// A baseline is JSON, which holds only valid UTF-8: read each line
+		// as a baseline will store it.
+		line := strings.ToValidUTF8(strings.TrimSpace(sc.Text()), "\uFFFD")
 		switch {
 		case line == "":
 			continue
@@ -69,7 +72,8 @@ func ParseGoBench(r io.Reader) (*ResultSet, error) {
 
 // parseBenchLine parses one result line. A valid line has the benchmark
 // name, an iteration count, and at least a "<value> ns/op" pair; B/op,
-// allocs/op and MB/s pairs are optional.
+// allocs/op and MB/s pairs are optional. Every value must be finite and
+// non-negative.
 func parseBenchLine(line string) (string, Sample, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -85,7 +89,8 @@ func parseBenchLine(line string) (string, Sample, bool) {
 	// The remainder is value/unit pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil || v < 0 {
+		// !(v >= 0) also rejects NaN; a baseline cannot store NaN or Inf.
+		if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 			return "", Sample{}, false
 		}
 		switch fields[i+1] {

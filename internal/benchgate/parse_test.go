@@ -68,23 +68,27 @@ func TestParseGoBench(t *testing.T) {
 	}
 }
 
-func TestParseMalformedLines(t *testing.T) {
-	in := `goos: linux
+// malformedOutput has six malformed benchmark lines and one good one.
+const malformedOutput = `goos: linux
 BenchmarkTruncated-8
 BenchmarkBadIters-8     abc    100 ns/op
 BenchmarkBadValue-8     100    xyz ns/op
 BenchmarkNoNs-8         100    5 widgets/op
+BenchmarkNaN-8          100    NaN ns/op
+BenchmarkInf-8          100    +Inf ns/op
 BenchmarkGood-8         100    5.0 ns/op
 `
-	rs, err := ParseGoBench(strings.NewReader(in))
+
+func TestParseMalformedLines(t *testing.T) {
+	rs, err := ParseGoBench(strings.NewReader(malformedOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Len() != 1 || rs.Benchmarks["BenchmarkGood"] == nil {
 		t.Fatalf("benchmarks = %v", rs.Names())
 	}
-	if len(rs.Malformed) != 4 {
-		t.Fatalf("malformed = %d (%v), want 4", len(rs.Malformed), rs.Malformed)
+	if len(rs.Malformed) != 6 {
+		t.Fatalf("malformed = %d (%v), want 6", len(rs.Malformed), rs.Malformed)
 	}
 }
 
