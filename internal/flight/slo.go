@@ -19,6 +19,7 @@ package flight
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,8 +58,8 @@ type Objective struct {
 
 // ParseObjective parses "metric.p99<20ms" / "metric.p99.9<1s" /
 // "metric.max<0.05". The threshold accepts time.ParseDuration syntax
-// (converted to seconds) or a bare float. Spaces around tokens are
-// allowed.
+// (converted to seconds) or a bare finite float. Spaces around tokens
+// are allowed.
 func ParseObjective(s string) (Objective, error) {
 	lhs, rhs, ok := strings.Cut(s, "<")
 	if !ok {
@@ -79,13 +80,16 @@ func ParseObjective(s string) (Objective, error) {
 	} else {
 		return Objective{}, fmt.Errorf("flight: objective %q: bound %q is neither a duration nor a number", s, rhs)
 	}
+	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
+		return Objective{}, fmt.Errorf("flight: objective %q: bound %q is not finite", s, rhs)
+	}
 	o := Objective{Metric: metric, Threshold: threshold, Raw: lhs + "<" + rhs}
 	switch {
 	case sel == "max":
 		o.Kind = KindCeiling
 	case len(sel) > 1 && sel[0] == 'p':
 		pct, err := strconv.ParseFloat(sel[1:], 64)
-		if err != nil || pct < 0 || pct > 100 {
+		if err != nil || !(pct >= 0 && pct <= 100) { // NaN fails both
 			return Objective{}, fmt.Errorf("flight: objective %q: bad quantile selector %q", s, sel)
 		}
 		o.Kind, o.Q = KindQuantile, pct/100

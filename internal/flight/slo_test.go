@@ -10,21 +10,30 @@ import (
 	"perfeng/internal/telemetry"
 )
 
+// objectiveCases and badObjectives are TestParseObjective's table and
+// FuzzParseObjective's seeds.
+var objectiveCases = []struct {
+	in   string
+	want Objective
+}{
+	{"matmul_seconds.p99<20ms",
+		Objective{Raw: "matmul_seconds.p99<20ms", Metric: "matmul_seconds", Kind: KindQuantile, Q: 0.99, Threshold: 0.020}},
+	{" lat.p99.9 < 1s ",
+		Objective{Raw: "lat.p99.9<1s", Metric: "lat", Kind: KindQuantile, Q: 99.9 / 100, Threshold: 1}},
+	{"go_gc_pause_burn_ratio.max<0.05",
+		Objective{Raw: "go_gc_pause_burn_ratio.max<0.05", Metric: "go_gc_pause_burn_ratio", Kind: KindCeiling, Threshold: 0.05}},
+	{"lat.p50<250us",
+		Objective{Raw: "lat.p50<250us", Metric: "lat", Kind: KindQuantile, Q: 0.50, Threshold: 0.000250}},
+}
+
+var badObjectives = []string{
+	"", "lat.p99", "lat<20ms", ".p99<1s", "lat.<1s", "lat.q99<1s",
+	"lat.p101<1s", "lat.pxx<1s", "lat.p99<fast",
+	"m.max<NaN", "m.p99<Inf", "m.pNaN<1s",
+}
+
 func TestParseObjective(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Objective
-	}{
-		{"matmul_seconds.p99<20ms",
-			Objective{Raw: "matmul_seconds.p99<20ms", Metric: "matmul_seconds", Kind: KindQuantile, Q: 0.99, Threshold: 0.020}},
-		{" lat.p99.9 < 1s ",
-			Objective{Raw: "lat.p99.9<1s", Metric: "lat", Kind: KindQuantile, Q: 99.9 / 100, Threshold: 1}},
-		{"go_gc_pause_burn_ratio.max<0.05",
-			Objective{Raw: "go_gc_pause_burn_ratio.max<0.05", Metric: "go_gc_pause_burn_ratio", Kind: KindCeiling, Threshold: 0.05}},
-		{"lat.p50<250us",
-			Objective{Raw: "lat.p50<250us", Metric: "lat", Kind: KindQuantile, Q: 0.50, Threshold: 0.000250}},
-	}
-	for _, c := range cases {
+	for _, c := range objectiveCases {
 		got, err := ParseObjective(c.in)
 		if err != nil {
 			t.Fatalf("%q: %v", c.in, err)
@@ -38,10 +47,7 @@ func TestParseObjective(t *testing.T) {
 			t.Fatalf("%q: got %+v, want %+v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{
-		"", "lat.p99", "lat<20ms", ".p99<1s", "lat.<1s", "lat.q99<1s",
-		"lat.p101<1s", "lat.pxx<1s", "lat.p99<fast",
-	} {
+	for _, bad := range badObjectives {
 		if _, err := ParseObjective(bad); err == nil {
 			t.Fatalf("%q: expected parse error", bad)
 		}
