@@ -7,6 +7,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"perfeng/internal/sched"
 	"perfeng/internal/simulator"
 	"perfeng/internal/telemetry"
+	"perfeng/internal/tune"
 )
 
 // enableAll points every producer at reg and restores the disabled
@@ -29,18 +31,19 @@ import (
 // leak into other tests.
 func enableAll(t *testing.T, reg *telemetry.Registry) {
 	t.Helper()
+	setAll(reg)
+	t.Cleanup(func() { setAll(nil) })
+}
+
+// setAll points all seven producers at reg; nil turns them all off.
+func setAll(reg *telemetry.Registry) {
+	sched.EnableTelemetry(reg)
+	tune.EnableTelemetry(reg)
 	metrics.EnableTelemetry(reg)
 	gpu.EnableTelemetry(reg)
 	cluster.EnableTelemetry(reg)
 	simulator.EnableTelemetry(reg)
 	queuing.EnableTelemetry(reg)
-	t.Cleanup(func() {
-		metrics.EnableTelemetry(nil)
-		gpu.EnableTelemetry(nil)
-		cluster.EnableTelemetry(nil)
-		simulator.EnableTelemetry(nil)
-		queuing.EnableTelemetry(nil)
-	})
 }
 
 func TestProducersPublishToOneRegistry(t *testing.T) {
@@ -199,18 +202,146 @@ func TestSimulatorPublishDeltas(t *testing.T) {
 	}
 }
 
-// TestProducersDisabledAreSilent runs the cheapest workload with
-// telemetry off and checks nothing registers anywhere.
-func TestProducersDisabledAreSilent(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	// Not enabled: producers must not touch any registry.
-	runner := metrics.NewRunner(metrics.QuickConfig())
-	runner.Measure("silent", 1, 1, func() {})
+// runProducers drives one small workload through each of the seven
+// producers: a sched region on a fresh pool, an active tune lookup, a
+// gpu launch, a cluster round plus wait-state analysis, a simulator
+// publication, a queuing run and a runner measurement.
+func runProducers(t *testing.T) {
+	t.Helper()
+	p := sched.New(2)
+	p.For(4096, 256, func(lo, hi int) {})
+	p.Close()
+
+	tune.ActivateOne(tune.KernelMatMul, 256, tune.Config{Tile: 32})
+	_, hit := tune.Lookup(tune.KernelMatMul, 256)
+	tune.Activate(nil)
+	if !hit {
+		t.Fatal("one-entry tune table missed its own shape")
+	}
+
+	dev, err := gpu.NewDevice(machine.DAS5TitanX())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.LaunchNamed("silent", gpu.Dim3{X: 2, Y: 1, Z: 1}, gpu.Dim3{X: 32, Y: 1, Z: 1}, 0,
+		func(b, th gpu.Dim3, _ []float64) {}); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := cluster.NewWorld(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := w.EnableTracing()
+	if err := w.Run(func(c *cluster.Comm) error {
+		_, err := c.SendRecv(1-c.Rank(), 0, []float64{1, 2})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tr.AnalyzeWaitStates()
+
+	c1, err := simulator.NewCache("L1", 64, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := simulator.NewHierarchy(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		hier.Load(uint64(i*64), 8)
+	}
+	hier.PublishTelemetry()
+
 	if _, err := queuing.Simulate(queuing.Exponential(1), queuing.Exponential(2), 1, 10, 0, 1); err != nil {
 		t.Fatal(err)
 	}
+
+	metrics.NewRunner(metrics.QuickConfig()).Measure("silent", 1, 1, func() {})
+}
+
+// settledSnapshot waits for reg to stop changing and returns its
+// snapshot. Pool workers count failed steal sweeps as they go idle,
+// which can land just after the region that caused them returned.
+func settledSnapshot(reg *telemetry.Registry) []telemetry.FamilySnapshot {
+	prev := reg.Snapshot()
+	for i := 0; i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		cur := reg.Snapshot()
+		if reflect.DeepEqual(prev, cur) {
+			return cur
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// TestProducersDisabledAreSilent runs every producer with telemetry
+// off and checks nothing registers anywhere.
+func TestProducersDisabledAreSilent(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	// Not enabled: producers must not touch any registry.
+	runProducers(t)
 	if snap := reg.Snapshot(); len(snap) != 0 {
 		t.Fatalf("disabled producers registered %d families", len(snap))
+	}
+}
+
+// TestProducersSilentAfterDisable enables a registry, runs every
+// producer (so cached handles exist), turns telemetry off and runs them
+// again: the registry must not move.
+func TestProducersSilentAfterDisable(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	enableAll(t, reg)
+	runProducers(t)
+	setAll(nil)
+	before := settledSnapshot(reg)
+	runProducers(t)
+	if after := settledSnapshot(reg); !reflect.DeepEqual(before, after) {
+		t.Fatalf("disabled producers published:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestSimulatorDisabledPublishKeepsBaseline: a publication while
+// telemetry is off forwards nothing and moves no baseline, so the
+// first publication after enabling carries all activity so far.
+func TestSimulatorDisabledPublishKeepsBaseline(t *testing.T) {
+	c1, err := simulator.NewCache("L1", 64, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := simulator.NewHierarchy(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		hier.Load(uint64(i*64), 8)
+	}
+	hier.PublishTelemetry() // disabled
+
+	reg := telemetry.NewRegistry()
+	simulator.EnableTelemetry(reg)
+	t.Cleanup(func() { simulator.EnableTelemetry(nil) })
+	for i := 0; i < 50; i++ {
+		hier.Load(uint64(i*64), 8)
+	}
+	hier.PublishTelemetry()
+
+	got := map[string]uint64{}
+	for _, f := range reg.Snapshot() {
+		for _, s := range f.Series {
+			got[f.Name] += uint64(s.Value)
+		}
+	}
+	st := c1.Stats()
+	want := map[string]uint64{
+		"perfeng_simcache_accesses": 150,
+		"perfeng_simcache_hits":     st.Hits,
+		"perfeng_simcache_misses":   st.Misses,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("first publication after enabling = %v, want %v", got, want)
 	}
 }
 
@@ -265,6 +396,11 @@ func BenchmarkProducerOverhead(b *testing.B) {
 	}
 	rec := flight.NewRecorder(0)
 	forCase("no-sink", func(*sched.Pool) func() { return func() {} })
+	schedReg := telemetry.NewRegistry()
+	forCase("telemetry", func(*sched.Pool) func() {
+		sched.EnableTelemetry(schedReg)
+		return func() { sched.EnableTelemetry(nil) }
+	})
 	forCase("flight", func(p *sched.Pool) func() { return p.Tasks.Attach(flight.SchedSink(rec)) })
 	forCase("flight+obs", func(p *sched.Pool) func() {
 		detachObs := p.Tasks.Attach(obs.SchedSink(obs.NewSession("bench")))
