@@ -9,7 +9,8 @@ import (
 
 // Live-telemetry hooks for the communication tracer. Event recording
 // already takes a mutex per event, so the extra counter increments are
-// in the noise; the disabled path is one atomic load in record.
+// in the noise. Disabled, the handles are the nil metrics of a nil
+// registry, which no-op.
 
 type telHandles struct {
 	events     *telemetry.CounterFamily
@@ -19,17 +20,17 @@ type telHandles struct {
 	imbalance  *telemetry.Gauge
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry.
 var tel atomic.Pointer[telHandles]
+
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes tracer activity to reg: events by kind,
 // bytes moved, and — refreshed on every AnalyzeWaitStates — the
 // late-sender total and load-imbalance ratio. Passing nil stops
 // publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	tel.Store(&telHandles{
 		events: reg.CounterFamily("perfeng_cluster_events",
 			"Traced communication events by kind.", "kind"),
@@ -47,9 +48,6 @@ func EnableTelemetry(reg *telemetry.Registry) {
 // publishEvent counts one recorded event; called from record.
 func publishEvent(e Event) {
 	th := tel.Load()
-	if th == nil {
-		return
-	}
 	th.events.With(e.Kind.String()).Inc()
 	switch e.Kind {
 	case EvSend:
@@ -67,9 +65,6 @@ func publishEvent(e Event) {
 // AnalyzeWaitStates with the freshly computed diagnosis.
 func publishWaitStates(ws WaitStates) {
 	th := tel.Load()
-	if th == nil {
-		return
-	}
 	var late time.Duration
 	for _, d := range ws.LateSenderTime {
 		late += d

@@ -122,11 +122,7 @@ func (d *Device) LaunchNamed(name string, grid, block Dim3, sharedLen int, kerne
 		workers = nBlocks
 	}
 	traced := d.Events.Active()
-	th := tel.Load()
-	launchStart := time.Time{}
-	if traced || th != nil {
-		launchStart = time.Now()
-	}
+	launchStart := time.Now()
 	// Blocks are handed out dynamically from a shared counter; each lane of
 	// the shared scheduler acts as one virtual SM, so at most d.Workers
 	// blocks are in flight regardless of the pool's worker count.
@@ -168,19 +164,15 @@ func (d *Device) LaunchNamed(name string, grid, block Dim3, sharedLen int, kerne
 		})
 		return nil
 	}()
-	if traced || th != nil {
-		ev := Event{Kernel: name, Launch: true, Grid: grid, Block: block, SharedLen: sharedLen,
-			Workers: workers, Start: launchStart, End: time.Now()}
-		// A block that cannot fit on an SM is reported through a zero
-		// Fraction, which every reader checks; the error adds nothing.
-		ev.Occupancy, _ = ComputeOccupancy(d.Model, block.Count(), RegsPerThread, sharedLen*8)
-		if traced {
-			d.Events.Emit(ev)
-		}
-		if th != nil {
-			publishLaunch(th, ev)
-		}
+	ev := Event{Kernel: name, Launch: true, Grid: grid, Block: block, SharedLen: sharedLen,
+		Workers: workers, Start: launchStart, End: time.Now()}
+	// A block that cannot fit on an SM is reported through a zero
+	// Fraction, which every reader checks; the error adds nothing.
+	ev.Occupancy, _ = ComputeOccupancy(d.Model, block.Count(), RegsPerThread, sharedLen*8)
+	if traced {
+		d.Events.Emit(ev)
 	}
+	publishLaunch(tel.Load(), ev)
 	return err
 }
 

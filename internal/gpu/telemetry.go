@@ -8,8 +8,8 @@ import (
 
 // Live-telemetry hooks for the device executor. Launch bookkeeping is
 // host-side and happens once per kernel launch (never per thread), so
-// the labeled lookups here are cold-path; the disabled path is one
-// atomic load in LaunchNamed.
+// the labeled lookups here are cold-path. Disabled, the handles are the
+// nil metrics of a nil registry, which no-op.
 
 type telHandles struct {
 	launches   *telemetry.CounterFamily
@@ -18,17 +18,17 @@ type telHandles struct {
 	occupancy  *telemetry.GaugeFamily
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry.
 var tel atomic.Pointer[telHandles]
+
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes kernel-launch activity to reg, labeled by
 // kernel name: launches and blocks executed, wall-clock launch
 // duration, and the modeled occupancy of the most recent launch.
 // Passing nil stops publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	tel.Store(&telHandles{
 		launches: reg.CounterFamily("perfeng_gpu_launches",
 			"Kernel launches completed.", "kernel"),

@@ -7,8 +7,8 @@ import (
 )
 
 // Live-telemetry hooks for the measurement runner. The handles are
-// grouped behind one atomic pointer so the disabled path costs a single
-// load and branch; enabling swaps in a populated handle set.
+// grouped behind one atomic pointer; enabling swaps in a populated
+// handle set, disabling the nil metrics of a nil registry, which no-op.
 
 type telHandles struct {
 	measurements *telemetry.Counter
@@ -16,16 +16,16 @@ type telHandles struct {
 	sampleSecs   *telemetry.Histogram
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry.
 var tel atomic.Pointer[telHandles]
+
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes runner activity to reg: measurements and
 // samples completed, and the per-sample duration distribution. Passing
 // nil stops publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	tel.Store(&telHandles{
 		measurements: reg.Counter("perfeng_runner_measurements",
 			"Measurements completed by metrics.Runner."),
@@ -41,9 +41,6 @@ func EnableTelemetry(reg *telemetry.Registry) {
 // end of Runner.Measure, outside any timed region.
 func publishMeasurement(m *Measurement) {
 	th := tel.Load()
-	if th == nil {
-		return
-	}
 	th.measurements.Inc()
 	th.samples.Add(uint64(len(m.Seconds)))
 	for _, s := range m.Seconds {

@@ -8,7 +8,8 @@ import (
 
 // Live-telemetry hooks for the discrete-event simulator. Simulate runs
 // for thousands of events per call, so publication happens once at the
-// end of a run; the disabled path is one atomic load.
+// end of a run. Disabled, the handles are the nil metrics of a nil
+// registry, which no-op.
 
 type telHandles struct {
 	runs      *telemetry.Counter
@@ -17,17 +18,17 @@ type telHandles struct {
 	util      *telemetry.Gauge
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry.
 var tel atomic.Pointer[telHandles]
+
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes simulation activity to reg: runs and
 // customers completed, plus the mean waiting time and server
 // utilization of the most recent run (in simulated time units).
 // Passing nil stops publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	tel.Store(&telHandles{
 		runs: reg.Counter("perfeng_queuing_runs",
 			"Discrete-event simulation runs completed."),
@@ -43,9 +44,6 @@ func EnableTelemetry(reg *telemetry.Registry) {
 // publishRun records one completed simulation.
 func publishRun(res SimResult) {
 	th := tel.Load()
-	if th == nil {
-		return
-	}
 	th.runs.Inc()
 	th.customers.Add(uint64(res.Customers))
 	th.meanWait.Set(res.MeanWq)

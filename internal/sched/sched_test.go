@@ -490,22 +490,6 @@ func TestObserveProvenance(t *testing.T) {
 	}
 }
 
-// TestStats sanity-checks the per-worker counter snapshot.
-func TestStats(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	p.For(1<<14, 64, func(lo, hi int) {})
-	st := p.Stats()
-	if len(st) != 2 {
-		t.Fatalf("Stats() has %d entries, want 2", len(st))
-	}
-	for i, ws := range st {
-		if ws.Worker != i {
-			t.Errorf("entry %d has Worker = %d", i, ws.Worker)
-		}
-	}
-}
-
 // TestSteadyStateAllocs: after warmup, dispatching through the pool
 // must not allocate — jobs are pooled and deques reuse their rings.
 // The body closure is hoisted, as the package comment prescribes.

@@ -1,7 +1,9 @@
 // Live-telemetry hooks for the scheduler, following the repo-wide
-// EnableTelemetry(reg) pattern: one atomic pointer load when disabled,
-// and cached per-worker handles when enabled so the per-task path
-// never takes the registry lock.
+// EnableTelemetry(reg) pattern: one atomic pointer load per event, and
+// cached per-worker handles so the per-task path never takes the
+// registry lock. Disabled, the handles are the nil metrics of a nil
+// registry, which no-op, so the scheduler never branches on "is
+// telemetry on".
 package sched
 
 import (
@@ -25,7 +27,11 @@ type telHandles struct {
 	callerBusy  *telemetry.Counter // the submitter help-loop lane
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry.
 var tel atomic.Pointer[telHandles]
+
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes scheduler activity to reg: regions
 // dispatched vs run inline, tasks, steals and failed steal sweeps, a
@@ -33,10 +39,6 @@ var tel atomic.Pointer[telHandles]
 // view: with perfect balance every worker's busy counter grows at the
 // same rate. Passing nil stops publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	th := &telHandles{
 		regions: reg.Counter("perfeng_sched_regions",
 			"Parallel regions dispatched to the worker pool."),

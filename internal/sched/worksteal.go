@@ -83,8 +83,8 @@ func (r *ring) signal(n int) {
 	}
 }
 
-// worker is one pool goroutine. The stats and cache fields are written
-// only by the owning goroutine.
+// worker is one pool goroutine. The cache fields are written only by
+// the owning goroutine.
 type worker struct {
 	id    int
 	label string // pre-interned id for telemetry labels (Itoa allocates)
@@ -99,43 +99,6 @@ type worker struct {
 	telCache *telHandles
 	busyC    counterRef
 	tasksC   counterRef
-
-	stats workerStats
-}
-
-// workerStats are per-worker scheduler counters, exposed via
-// Pool.Stats and mirrored into telemetry when enabled.
-type workerStats struct {
-	tasks, steals, stealFails, splits, busy atomic.Uint64 //perfvet:ignore:falseshare single-writer by design: only the owning worker updates these five, so grouping them on one line cannot ping-pong; the trailing pad isolates the group from the next worker's allocation instead
-	_                                       [64]byte
-}
-
-// WorkerStats is one worker's scheduler counters (see Pool.Stats).
-type WorkerStats struct {
-	Worker     int
-	Tasks      uint64        // ranges executed
-	Steals     uint64        // tasks taken from another worker's deque
-	StealFails uint64        // steal sweeps that found every deque empty
-	Splits     uint64        // lazy binary splits performed
-	Busy       time.Duration // wall time inside bodies
-}
-
-// Stats snapshots per-worker counters for the current worker
-// generation. Counters reset when SetWorkers swaps generations.
-func (p *Pool) Stats() []WorkerStats {
-	r := p.state.Load()
-	out := make([]WorkerStats, len(r.workers))
-	for i, w := range r.workers {
-		out[i] = WorkerStats{
-			Worker:     i,
-			Tasks:      w.stats.tasks.Load(),
-			Steals:     w.stats.steals.Load(),
-			StealFails: w.stats.stealFails.Load(),
-			Splits:     w.stats.splits.Load(),
-			Busy:       time.Duration(w.stats.busy.Load()),
-		}
-	}
-	return out
 }
 
 // job is one parallel region in flight. Jobs are pooled; a job is
@@ -202,9 +165,7 @@ func (p *Pool) dispatch(pol Policy, n, grain int, fn func(int, int), wfn func(in
 		// Inline: nothing to parallelize, or no workers to do it.
 		// Panics propagate naturally. The ForWorker lane is the
 		// submitter lane so Executors()-sized state stays in bounds.
-		if th := tel.Load(); th != nil {
-			th.inline.Inc()
-		}
+		tel.Load().inline.Inc()
 		if fn != nil {
 			fn(0, n)
 		} else {
@@ -228,9 +189,7 @@ func (p *Pool) dispatch(pol Policy, n, grain int, fn func(int, int), wfn func(in
 	j.wg.Add(1)
 
 	p.seed(r, j, pol, n, grain, nw)
-	if th := tel.Load(); th != nil {
-		th.regions.Inc()
-	}
+	tel.Load().regions.Inc()
 
 	// Help loop: run our own job's queued tasks instead of blocking.
 	// This is what makes nesting deadlock-free — a submitter can
@@ -336,7 +295,6 @@ func (p *Pool) runTask(w *worker, t task) {
 			if w != nil {
 				nt.origin = w.id
 				w.dq.push(nt)
-				w.stats.splits.Add(1)
 			} else {
 				d := int(r.rr.Add(1)) % len(r.deques)
 				nt.origin = d
@@ -351,13 +309,7 @@ func (p *Pool) runTask(w *worker, t task) {
 	start := time.Now()
 	leaf(w, t)
 	dur := time.Since(start)
-	if w != nil {
-		w.stats.tasks.Add(1)
-		w.stats.busy.Add(uint64(dur))
-	}
-	if th := tel.Load(); th != nil {
-		publishTask(th, w, dur)
-	}
+	publishTask(tel.Load(), w, dur)
 	if p.Tasks.Active() {
 		p.emitTask(w, t, start, dur)
 	}
@@ -442,7 +394,7 @@ func (w *worker) stealAny(r *ring) (task, bool) {
 			continue
 		}
 		if t, ok := r.deques[v].stealHead(); ok {
-			w.noteSteal()
+			tel.Load().steals.Inc()
 			return t, true
 		}
 	}
@@ -451,22 +403,12 @@ func (w *worker) stealAny(r *ring) (task, bool) {
 			continue
 		}
 		if t, ok := r.deques[v].stealHead(); ok {
-			w.noteSteal()
+			tel.Load().steals.Inc()
 			return t, true
 		}
 	}
-	w.stats.stealFails.Add(1)
-	if th := tel.Load(); th != nil {
-		th.stealFails.Inc()
-	}
+	tel.Load().stealFails.Inc()
 	return task{}, false
-}
-
-func (w *worker) noteSteal() {
-	w.stats.steals.Add(1)
-	if th := tel.Load(); th != nil {
-		th.steals.Inc()
-	}
 }
 
 // nextRand is xorshift64*; cheap, worker-local, and good enough for

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"perfeng/internal/machine"
-	"perfeng/internal/telemetry"
 )
 
 // Stats counts the events of one cache level.
@@ -261,15 +260,9 @@ type Hierarchy struct {
 	tlb *TLB
 
 	// telLast/telLastAccesses hold the per-level stats as of the last
-	// PublishTelemetry call, so publication forwards deltas. telWired
-	// remembers which handle set the per-level counters were resolved
-	// against, so the steady-state publish path never re-does the
-	// label lookup.
+	// PublishTelemetry call, so publication forwards deltas.
 	telLast         []Stats
 	telLastAccesses uint64
-	telWired        *telHandles
-	telHits         []*telemetry.Counter
-	telMisses       []*telemetry.Counter
 }
 
 // NewHierarchy chains the given levels (L1 first). At least one level is

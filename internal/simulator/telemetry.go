@@ -18,16 +18,16 @@ type telHandles struct {
 	misses   *telemetry.CounterFamily
 }
 
+// tel is never nil: disabled, it holds the handle set of a nil
+// registry.
 var tel atomic.Pointer[telHandles]
+
+func init() { EnableTelemetry(nil) }
 
 // EnableTelemetry publishes cache-simulation activity to reg: demand
 // accesses issued to hierarchies, and hits/misses by level name.
 // Passing nil stops publication.
 func EnableTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		tel.Store(nil)
-		return
-	}
 	tel.Store(&telHandles{
 		accesses: reg.Counter("perfeng_simcache_accesses",
 			"Demand accesses issued to simulated hierarchies."),
@@ -55,30 +55,21 @@ func statDelta(cur, last uint64) uint64 {
 // single-threaded by design).
 func (h *Hierarchy) PublishTelemetry() {
 	th := tel.Load()
-	if th == nil {
+	if th.accesses == nil {
+		// The nil registry's handles: leave the baseline, so the first
+		// enabled publication forwards everything since the last one.
 		return
 	}
 	if len(h.telLast) != len(h.Levels) {
 		h.telLast = make([]Stats, len(h.Levels))
 	}
-	if th != h.telWired || len(h.telHits) != len(h.Levels) {
-		// Resolve the per-level counters once per registry swap; the
-		// steady-state publish path below then touches no label maps.
-		h.telHits = make([]*telemetry.Counter, len(h.Levels))
-		h.telMisses = make([]*telemetry.Counter, len(h.Levels))
-		for i, c := range h.Levels {
-			//perfvet:ignore:allocattr wiring runs once per registry swap, not per publication
-			h.telHits[i] = th.hits.With(c.Name)
-			//perfvet:ignore:allocattr wiring runs once per registry swap, not per publication
-			h.telMisses[i] = th.misses.With(c.Name)
-		}
-		h.telWired = th
-	}
 	for i, c := range h.Levels {
 		s := c.Stats()
 		last := &h.telLast[i]
-		h.telHits[i].Add(statDelta(s.Hits, last.Hits))
-		h.telMisses[i].Add(statDelta(s.Misses, last.Misses))
+		//perfvet:ignore:allocattr one label lookup per level per publication, and publication runs once per simulated phase
+		th.hits.With(c.Name).Add(statDelta(s.Hits, last.Hits))
+		//perfvet:ignore:allocattr one label lookup per level per publication, and publication runs once per simulated phase
+		th.misses.With(c.Name).Add(statDelta(s.Misses, last.Misses))
 		*last = s
 	}
 	th.accesses.Add(statDelta(h.Accesses, h.telLastAccesses))
