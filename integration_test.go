@@ -38,20 +38,29 @@ func TestAssignment1Pipeline(t *testing.T) {
 	model := roofline.FromCPU(cpu)
 	runner := metrics.NewRunner(metrics.QuickConfig())
 
+	// The variants are interleaved across rounds, so a contention burst
+	// hits them alike, and each keeps its fastest round's measurement.
 	var naive, ikj *metrics.Measurement
-	for _, v := range kernels.MatMulVariants(32, 2) {
-		v := v
-		m := runner.Measure(v.Name, kernels.MatMulFLOPs(n),
-			kernels.MatMulCompulsoryBytes(n), func() { v.Run(a, b, c) })
-		an := model.Analyze(roofline.PointFromMeasurement(m))
-		if an.Attainable <= 0 || an.Fraction < 0 {
-			t.Fatalf("%s: degenerate analysis %+v", v.Name, an)
+	faster := func(best, m *metrics.Measurement) *metrics.Measurement {
+		if best == nil || m.MedianSeconds() < best.MedianSeconds() {
+			return m
 		}
-		switch v.Name {
-		case "naive-ijk":
-			naive = m
-		case "reordered-ikj":
-			ikj = m
+		return best
+	}
+	for round := 0; round < 3; round++ {
+		for _, v := range kernels.MatMulVariants(32, 2) {
+			m := runner.Measure(v.Name, kernels.MatMulFLOPs(n),
+				kernels.MatMulCompulsoryBytes(n), func() { v.Run(a, b, c) })
+			an := model.Analyze(roofline.PointFromMeasurement(m))
+			if an.Attainable <= 0 || an.Fraction < 0 {
+				t.Fatalf("%s: degenerate analysis %+v", v.Name, an)
+			}
+			switch v.Name {
+			case "naive-ijk":
+				naive = faster(naive, m)
+			case "reordered-ikj":
+				ikj = faster(ikj, m)
+			}
 		}
 	}
 	if sp := metrics.Speedup(naive, ikj); sp < 1.2 {
