@@ -238,7 +238,7 @@ var ErrNoVersion = errors.New("serviced: event payload has no schema version")
 // DecodeEvent parses one data payload. Unknown fields are ignored and
 // unknown kinds are preserved (check Kind.Known()), so clients keep
 // working across compatible schema growth; a missing or non-positive
-// version is malformed.
+// version, or a kind with a control character, is malformed.
 func DecodeEvent(data []byte) (Event, error) {
 	var e Event
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -249,6 +249,12 @@ func DecodeEvent(data []byte) (Event, error) {
 	}
 	if e.Kind == "" {
 		return Event{}, errors.New("serviced: event has no kind")
+	}
+	// AppendSSE writes the kind raw into the event: line.
+	for i := 0; i < len(e.Kind); i++ {
+		if e.Kind[i] < 0x20 {
+			return Event{}, fmt.Errorf("serviced: event kind %q has a control character", e.Kind)
+		}
 	}
 	return e, nil
 }

@@ -22,7 +22,7 @@ type vector struct {
 	Event       json.RawMessage `json:"event"`
 }
 
-func loadVectors(t *testing.T) []vector {
+func loadVectors(t testing.TB) []vector {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "vectors", "*.json"))
 	if err != nil {
@@ -154,6 +154,11 @@ func TestDecodeEventErrors(t *testing.T) {
 	}
 	if _, err := ParseSSEFrame([]byte("event: started\n")); err == nil {
 		t.Fatal("frame without a data line must error")
+	}
+	// AppendSSE writes the kind raw into the event: line, so a control
+	// character there would split or corrupt the frame.
+	if _, err := DecodeEvent([]byte(`{"v":1,"kind":"x\ndata: {}","seq":1}`)); err == nil {
+		t.Fatal("kind with a newline must error")
 	}
 }
 
