@@ -55,9 +55,11 @@ func writeRoofline(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		runner := metrics.NewRunner(metrics.QuickConfig())
+		var ops []metrics.Op
 		for _, v := range append([]perfeng.Variant{app.Baseline}, app.Candidates...) {
-			m := runner.Measure(v.Name, app.FLOPs, app.Bytes, v.Run)
+			ops = append(ops, metrics.Op{Name: v.Name, FLOPs: app.FLOPs, Bytes: app.Bytes, Run: v.Run})
+		}
+		for _, m := range metrics.NewRunner(metrics.QuickConfig()).MeasureAll(ops) {
 			points = append(points, roofline.PointFromMeasurement(m))
 		}
 	}

@@ -17,6 +17,7 @@ import (
 
 	"perfeng/internal/flight"
 	"perfeng/internal/kernels"
+	"perfeng/internal/metrics"
 	"perfeng/internal/sched"
 )
 
@@ -66,10 +67,13 @@ func runScaling(args []string) {
 	fmt.Printf("perfeng scaling: GOMAXPROCS=%d, sched workers=%d, best of %d reps\n",
 		procs, sched.Workers(), *reps)
 
+	// The seq and par runs alternate, and each keeps its best: the
+	// minimum of a shifted distribution estimates the noise-free cost.
+	runner := metrics.NewRunner(metrics.RunnerConfig{MinRuns: *reps, MaxRuns: *reps})
 	failed := false
 	for _, c := range cases {
-		seq := bestOf(*reps, c.seq)
-		par := bestOf(*reps, c.par)
+		ms := runner.MeasureAll([]metrics.Op{{Name: c.name + "/seq", Run: c.seq}, {Name: c.name + "/par", Run: c.par}})
+		seq, par := seconds(ms[0].MinSeconds()), seconds(ms[1].MinSeconds())
 		speedup := seq.Seconds() / par.Seconds()
 		verdict := thresholds.verdict(speedup)
 		if verdict == "FAIL" {
@@ -136,17 +140,5 @@ func clearCounts(c []int64) {
 	}
 }
 
-// bestOf runs f reps times and returns the fastest wall time — the
-// standard noise-rejection protocol for a smoke check (minimum of a
-// shifted distribution estimates the noise-free cost).
-func bestOf(reps int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
+// seconds converts a float second count to a Duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

@@ -100,7 +100,7 @@ func runTune(args []string) {
 	// persisted configs still hold instead of re-searching.
 	if !*force {
 		if c, err := tune.Load(*cachePath); err == nil && c.EnvMatches(host) {
-			verifyTuneCache(c, ts, *smoke, *alpha, *minEffect, thresholds, *mdPath, *github)
+			verifyTuneCache(c, ts, *smoke, *alpha, thresholds, *mdPath, *github)
 			return
 		}
 	}
@@ -239,7 +239,7 @@ func searchTune(ts []tunables.Tunable, smoke bool, alpha, minEffect float64,
 // alpha) and past the -fail speedup floor — beat-or-match semantics
 // with the same noise discipline as the search.
 func verifyTuneCache(c *tune.Cache, ts []tunables.Tunable, smoke bool,
-	alpha, minEffect float64, thresholds *speedupThresholds, mdPath string, github bool) {
+	alpha float64, thresholds *speedupThresholds, mdPath string, github bool) {
 
 	reps := 10
 	if smoke {
@@ -272,11 +272,13 @@ func verifyTuneCache(c *tune.Cache, ts []tunables.Tunable, smoke bool,
 		if tunedNs > 0 {
 			speedup = defNs / tunedNs
 		}
-		w, _ := stats.WelchTTest(defSamples, tunedSamples)
+		// The -fail floor is the practical filter, so the comparator
+		// needs no effect floor of its own.
+		v, _ := stats.Compare(defSamples, tunedSamples, alpha, 0)
 		verdict := thresholds.verdict(speedup)
 		// Losing within noise is a tie, not a regression: require the
 		// loss to be statistically real before failing the gate.
-		if verdict == "FAIL" && !w.Significant(alpha) {
+		if verdict == "FAIL" && !v.Significant {
 			verdict = "warn"
 		}
 		if verdict == "FAIL" {
@@ -285,10 +287,10 @@ func verifyTuneCache(c *tune.Cache, ts []tunables.Tunable, smoke bool,
 		results = append(results, &tune.Result{
 			Kernel: e.Kernel, N: e.N, Default: tune.Config{}, Best: e.Config,
 			Improved: e.Improved, DefaultNs: defNs, BestNs: tunedNs,
-			Speedup: speedup, Welch: w,
+			Speedup: speedup, Welch: v.Welch,
 		})
 		fmt.Printf("perfeng tune: %-10s n=%-7d cached %-22s speedup %.2fx  p=%.3g  [%s]\n",
-			e.Kernel, e.N, e.Config, speedup, w.P, verdict)
+			e.Kernel, e.N, e.Config, speedup, v.P, verdict)
 		if github {
 			thresholds.annotate(verdict, "tune "+e.Kernel,
 				"cached config "+e.Config.String()+" vs defaults:", speedup)

@@ -36,33 +36,24 @@ func TestAssignment1Pipeline(t *testing.T) {
 	c := kernels.NewDense(n)
 	cpu := machine.GenericLaptop()
 	model := roofline.FromCPU(cpu)
-	runner := metrics.NewRunner(metrics.QuickConfig())
-
-	// The variants are interleaved across rounds, so a contention burst
-	// hits them alike, and each keeps its fastest round's measurement.
-	var naive, ikj *metrics.Measurement
-	faster := func(best, m *metrics.Measurement) *metrics.Measurement {
-		if best == nil || m.MedianSeconds() < best.MedianSeconds() {
-			return m
-		}
-		return best
+	// The variants are measured round-robin, so a contention burst hits
+	// them alike, and fifteen samples each keep the medians steady.
+	cfg := metrics.QuickConfig()
+	cfg.MinRuns, cfg.MaxRuns = 15, 15
+	var ops []metrics.Op
+	for _, v := range kernels.MatMulVariants(32, 2) {
+		ops = append(ops, metrics.Op{Name: v.Name, FLOPs: kernels.MatMulFLOPs(n),
+			Bytes: kernels.MatMulCompulsoryBytes(n), Run: func() { v.Run(a, b, c) }})
 	}
-	for round := 0; round < 3; round++ {
-		for _, v := range kernels.MatMulVariants(32, 2) {
-			m := runner.Measure(v.Name, kernels.MatMulFLOPs(n),
-				kernels.MatMulCompulsoryBytes(n), func() { v.Run(a, b, c) })
-			an := model.Analyze(roofline.PointFromMeasurement(m))
-			if an.Attainable <= 0 || an.Fraction < 0 {
-				t.Fatalf("%s: degenerate analysis %+v", v.Name, an)
-			}
-			switch v.Name {
-			case "naive-ijk":
-				naive = faster(naive, m)
-			case "reordered-ikj":
-				ikj = faster(ikj, m)
-			}
+	byName := map[string]*metrics.Measurement{}
+	for _, m := range metrics.NewRunner(cfg).MeasureAll(ops) {
+		an := model.Analyze(roofline.PointFromMeasurement(m))
+		if an.Attainable <= 0 || an.Fraction < 0 {
+			t.Fatalf("%s: degenerate analysis %+v", m.Name, an)
 		}
+		byName[m.Name] = m
 	}
+	naive, ikj := byName["naive-ijk"], byName["reordered-ikj"]
 	if sp := metrics.Speedup(naive, ikj); sp < 1.2 {
 		t.Fatalf("ikj speedup over naive = %v, want > 1.2", sp)
 	}
@@ -81,28 +72,23 @@ func TestAssignment2Pipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu := cal.FitCPU(machine.GenericLaptop())
-	runner := metrics.NewRunner(metrics.QuickConfig())
-
-	// The sizes are interleaved across rounds, so a contention burst
-	// hits every point alike, and each point is its fastest run over
-	// all rounds: the least-disturbed run is the one a work model
-	// describes, while a median still carries the machine's load.
+	// The sizes are measured round-robin, so a contention burst hits
+	// every point alike, and each point is its fastest of fifteen runs:
+	// the least-disturbed run is the one a work model describes, while a
+	// median still carries the machine's load.
+	cfg := metrics.QuickConfig()
+	cfg.MinRuns, cfg.MaxRuns = 15, 15
 	sizes := []int{48, 64, 96, 128}
-	ops := make([]func(), len(sizes))
+	ops := make([]metrics.Op, len(sizes))
 	for i, n := range sizes {
 		a := kernels.RandomDense(n, 1)
 		b := kernels.RandomDense(n, 2)
 		c := kernels.NewDense(n)
-		ops[i] = func() { kernels.MatMulIKJ(a, b, c) }
+		ops[i] = metrics.Op{Name: "mm", FLOPs: kernels.MatMulFLOPs(n), Run: func() { kernels.MatMulIKJ(a, b, c) }}
 	}
 	pts := make([]analytic.CalibrationPoint, len(sizes))
-	for round := 0; round < 3; round++ {
-		for i, n := range sizes {
-			s := runner.Measure("mm", kernels.MatMulFLOPs(n), 0, ops[i]).MinSeconds()
-			if round == 0 || s < pts[i].Seconds {
-				pts[i] = analytic.CalibrationPoint{N: float64(n), Seconds: s}
-			}
-		}
+	for i, m := range metrics.NewRunner(cfg).MeasureAll(ops) {
+		pts[i] = analytic.CalibrationPoint{N: float64(sizes[i]), Seconds: m.MinSeconds()}
 	}
 	fn := &analytic.FunctionModel{ModelName: "fn",
 		Work: func(n float64) float64 { return n * n * n }}

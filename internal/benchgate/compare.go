@@ -2,7 +2,6 @@ package benchgate
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"perfeng/internal/stats"
@@ -13,10 +12,11 @@ import (
 //
 //  1. outlier rejection (Tukey fences) on both ns/op series, because one
 //     descheduled repetition must not decide a build;
-//  2. Welch's t-test on the cleaned series — the *statistical* filter:
-//     a difference only counts when p < alpha;
-//  3. a minimum practical effect size — the *practical* filter: a
-//     significant 0.4% drift is still noise at the scale CI cares about.
+//  2. stats.Compare on the cleaned series: Welch's t-test is the
+//     *statistical* filter (a difference only counts when p < alpha),
+//     and the minimum practical effect size max(MinEffect,
+//     NoiseMargin*Noise) the *practical* one: a significant 0.4% drift
+//     is still noise at the scale CI cares about.
 //
 // Only a difference that passes both filters becomes a Regression (or an
 // Improvement). Everything else is Unchanged.
@@ -214,9 +214,7 @@ func compareBench(name string, base, cand BaselineBench, cfg Config, alpha float
 		BaseCV: stats.CoefficientOfVariation(bs),
 		CandCV: stats.CoefficientOfVariation(cs),
 		BaseN:  len(bs), CandN: len(cs),
-	}
-	if c.BaseMean > 0 {
-		c.Delta = (c.CandMean - c.BaseMean) / c.BaseMean
+		Delta: relDelta(bs, cs),
 	}
 	c.AllocDelta = relDelta(base.AllocsPerOp, cand.AllocsPerOp)
 	c.BytesDelta = relDelta(base.BytesPerOp, cand.BytesPerOp)
@@ -227,20 +225,15 @@ func compareBench(name string, base, cand BaselineBench, cfg Config, alpha float
 			cfg.MinSamples, len(bs), len(cs))
 		return c
 	}
-	w, err := stats.WelchTTest(bs, cs)
+	threshold := max(cfg.MinEffect, cfg.NoiseMargin*base.Noise)
+	v, err := stats.Compare(bs, cs, alpha, threshold)
 	if err != nil {
 		c.Verdict = Indeterminate
 		c.Note = err.Error()
 		return c
 	}
-	c.P, c.T, c.DF = w.P, w.T, w.DF
+	c.P, c.T, c.DF, c.Threshold = v.P, v.T, v.DF, threshold
 
-	significant := w.Significant(alpha)
-	c.Threshold = cfg.MinEffect
-	if floor := cfg.NoiseMargin * base.Noise; floor > c.Threshold {
-		c.Threshold = floor
-	}
-	large := math.Abs(c.Delta) >= c.Threshold
 	// The time and allocation checks are independent: a change that trades
 	// allocations for speed (caching, buffering) is both a wall-clock
 	// improvement and an alloc regression, and the gate must still see the
@@ -248,7 +241,7 @@ func compareBench(name string, base, cand BaselineBench, cfg Config, alpha float
 	// AllocRegression > Improvement — and the note carries the other axis.
 	allocReg := c.AllocDelta >= cfg.MinEffect
 	switch {
-	case significant && large && c.Delta > 0:
+	case v.Significant && c.Delta > 0:
 		c.Verdict = Regression
 		c.Note = fmt.Sprintf("%.1f%% slower (p=%.4f)", 100*c.Delta, c.P)
 		if allocReg {
@@ -259,10 +252,10 @@ func compareBench(name string, base, cand BaselineBench, cfg Config, alpha float
 		// the practical threshold is a real change, not noise.
 		c.Verdict = AllocRegression
 		c.Note = fmt.Sprintf("allocs/op up %.1f%%", 100*c.AllocDelta)
-		if significant && large && c.Delta < 0 {
+		if v.Significant && c.Delta < 0 {
 			c.Note += fmt.Sprintf(" despite %.1f%% time improvement (p=%.4f)", -100*c.Delta, c.P)
 		}
-	case significant && large && c.Delta < 0:
+	case v.Significant && c.Delta < 0:
 		c.Verdict = Improvement
 		c.Note = fmt.Sprintf("%.1f%% faster (p=%.4f)", -100*c.Delta, c.P)
 	default:

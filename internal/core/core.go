@@ -115,8 +115,6 @@ type Engagement struct {
 	// Runner configures the measurement protocol (DefaultConfig when
 	// zero).
 	Runner metrics.RunnerConfig
-	// MaxIterations bounds the stage-6 loop (default 3).
-	MaxIterations int
 }
 
 // VariantResult is a measured variant.
@@ -138,12 +136,12 @@ type Outcome struct {
 	Variants    []*VariantResult // stage 5, baseline first
 	Best        *VariantResult   // stage 6
 	Satisfied   bool             // stage 6
-	Iterations  int              // stage 6
 	// Significance is the Welch t-test verdict of best vs baseline
 	// (nil when the baseline itself is best or samples are too few).
 	Significance *metrics.Comparison // stage 6
 	// Profile is the flat profile of where the engagement's own wall
-	// clock went (per-stage, per-variant measurement regions).
+	// clock went: one measure/<variant> region per variant, whose calls
+	// are that variant's runs.
 	Profile *profile.Profiler
 	Report  *report.Report // stage 7
 }
@@ -165,24 +163,29 @@ func (e *Engagement) Run() (*Outcome, error) {
 	model := roofline.FromCPU(e.CPU)
 	out.Model = model
 
-	measure := func(v Variant) *VariantResult {
-		out.Profile.Enter("measure/" + v.Name)
-		m := runner.Measure(e.App.Name+"/"+v.Name, e.App.FLOPs, e.App.Bytes, v.Run)
-		_ = out.Profile.Exit("measure/" + v.Name)
-		if v.Procs > 0 {
-			m.Procs = v.Procs
-		}
-		return &VariantResult{
-			Variant:     v,
-			Measurement: m,
-			Analysis:    model.Analyze(roofline.PointFromMeasurement(m)),
-		}
+	// Stages 2 and 5: measure the baseline and every candidate in one
+	// round-robin protocol, so a load burst hits them alike.
+	variants := append([]Variant{e.App.Baseline}, e.App.Candidates...)
+	ops := make([]metrics.Op, len(variants))
+	for i, v := range variants {
+		region := "measure/" + v.Name
+		ops[i] = metrics.Op{Name: e.App.Name + "/" + v.Name, FLOPs: e.App.FLOPs, Bytes: e.App.Bytes,
+			Run: func() { _ = out.Profile.Do(region, v.Run) }}
 	}
-
-	// Stage 2: understand current performance.
-	out.Baseline = measure(e.App.Baseline)
+	ms := runner.MeasureAll(ops)
+	for i, m := range ms {
+		if variants[i].Procs > 0 {
+			m.Procs = variants[i].Procs
+		}
+		out.Variants = append(out.Variants, &VariantResult{
+			Variant:     variants[i],
+			Measurement: m,
+			Speedup:     metrics.Speedup(ms[0], m),
+			Analysis:    model.Analyze(roofline.PointFromMeasurement(m)),
+		})
+	}
+	out.Baseline = out.Variants[0]
 	out.Baseline.Speedup = 1
-	out.Variants = append(out.Variants, out.Baseline)
 
 	// Stage 3: feasibility. The roofline headroom at the baseline's AI is
 	// the model's upper bound on achievable speedup (for a fixed
@@ -215,31 +218,14 @@ func (e *Engagement) Run() (*Outcome, error) {
 			"compute-bound: prefer variants adding parallelism and ILP")
 	}
 
-	// Stages 5+6: tune, assess, iterate. Each iteration measures the
-	// remaining candidates; the loop stops when the requirement is met or
-	// candidates are exhausted.
-	maxIter := e.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 3
-	}
+	// Stage 6: assess. The best variant is the fastest by median.
 	out.Best = out.Baseline
-	remaining := append([]Variant(nil), e.App.Candidates...)
-	for iter := 0; iter < maxIter && len(remaining) > 0 && !out.Satisfied; iter++ {
-		out.Iterations++
-		for _, v := range remaining {
-			vr := measure(v)
-			vr.Speedup = metrics.Speedup(out.Baseline.Measurement, vr.Measurement)
-			out.Variants = append(out.Variants, vr)
-			if vr.Measurement.MedianSeconds() < out.Best.Measurement.MedianSeconds() {
-				out.Best = vr
-			}
+	for _, vr := range out.Variants[1:] {
+		if vr.Measurement.MedianSeconds() < out.Best.Measurement.MedianSeconds() {
+			out.Best = vr
 		}
-		remaining = nil // one pass over the ladder per engagement
-		out.Satisfied = e.satisfied(out)
 	}
-	if len(e.App.Candidates) == 0 {
-		out.Satisfied = e.satisfied(out)
-	}
+	out.Satisfied = e.satisfied(out)
 
 	// Stage 6 addendum: is the best-variant win statistically real?
 	if out.Best != out.Baseline {

@@ -61,9 +61,6 @@ func TestEngagementEndToEnd(t *testing.T) {
 	if !out.Satisfied {
 		t.Fatal("requirement should be met")
 	}
-	if out.Iterations < 1 {
-		t.Fatal("stage 6 never ran")
-	}
 	// Stage 7 report includes all stages.
 	txt := out.Report.String()
 	for _, want := range []string{"Stage 1", "Stage 2", "Stage 3", "Stage 4",

@@ -37,20 +37,22 @@ type ScalingResult struct {
 }
 
 // RunScalingStudy measures run(workers) for each worker count (which must
-// start at 1, the sequential baseline) under the given protocol.
+// start at 1, the sequential baseline) round-robin under the given
+// protocol.
 func RunScalingStudy(name string, workerCounts []int, cfg metrics.RunnerConfig, run func(workers int)) (*ScalingResult, error) {
 	if len(workerCounts) < 2 || workerCounts[0] != 1 {
 		return nil, errors.New("core: scaling study needs worker counts starting at 1")
 	}
-	runner := metrics.NewRunner(cfg)
-	seconds := make([]float64, 0, len(workerCounts))
-	for _, w := range workerCounts {
+	ops := make([]metrics.Op, len(workerCounts))
+	for i, w := range workerCounts {
 		if w < 1 {
 			return nil, fmt.Errorf("core: invalid worker count %d", w)
 		}
-		w := w
-		m := runner.Measure(name+"/w="+strconv.Itoa(w), 0, 0, func() { run(w) })
-		seconds = append(seconds, m.MedianSeconds())
+		ops[i] = metrics.Op{Name: name + "/w=" + strconv.Itoa(w), Run: func() { run(w) }}
+	}
+	seconds := make([]float64, len(workerCounts))
+	for i, m := range metrics.NewRunner(cfg).MeasureAll(ops) {
+		seconds[i] = m.MedianSeconds()
 	}
 	return FitScaling(name, workerCounts, seconds)
 }

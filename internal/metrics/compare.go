@@ -18,14 +18,10 @@ type Comparison struct {
 	A, B string
 	// Speedup is medianA / medianB (> 1 means B is faster).
 	Speedup float64
-	// TStat and DF are the Welch statistic and degrees of freedom.
-	TStat float64
-	DF    float64
-	// PValue is the two-sided p-value for "the means differ".
-	PValue float64
-	// Significant is PValue < alpha.
-	Significant bool
-	Alpha       float64
+	// Verdict is stats.Compare of A's series against B's with no effect
+	// floor: Significant is P < Alpha.
+	stats.Verdict
+	Alpha float64
 }
 
 // String renders the verdict.
@@ -35,28 +31,24 @@ func (c Comparison) String() string {
 		rel = "significant"
 	}
 	return fmt.Sprintf("%s vs %s: speedup %.2fx (p=%.4f, %s at alpha=%.2g)",
-		c.A, c.B, c.Speedup, c.PValue, rel, c.Alpha)
+		c.A, c.B, c.Speedup, c.P, rel, c.Alpha)
 }
 
-// CompareMeasurements runs Welch's t-test on the two runtime series.
-// alpha <= 0 defaults to 0.05. Both series need >= 2 samples.
+// CompareMeasurements judges b's runtime series against a's with
+// stats.Compare (Welch's t-test) at alpha and no effect floor. alpha <= 0
+// defaults to 0.05. Both series need >= 2 samples.
 func CompareMeasurements(a, b *Measurement, alpha float64) (Comparison, error) {
-	if a.N() < 2 || b.N() < 2 {
-		return Comparison{}, errors.New("metrics: comparison needs >= 2 samples per side")
-	}
 	if alpha <= 0 {
 		alpha = 0.05
 	}
-	c := Comparison{A: a.Name, B: b.Name, Alpha: alpha}
-	if stats.Mean(b.Seconds) > 0 {
-		c.Speedup = a.MedianSeconds() / b.MedianSeconds()
-	}
-	w, err := stats.WelchTTest(a.Seconds, b.Seconds)
+	v, err := stats.Compare(a.Seconds, b.Seconds, alpha, 0)
 	if err != nil {
 		return Comparison{}, err
 	}
-	c.TStat, c.DF, c.PValue = w.T, w.DF, w.P
-	c.Significant = w.Significant(alpha)
+	c := Comparison{A: a.Name, B: b.Name, Verdict: v, Alpha: alpha}
+	if stats.Mean(b.Seconds) > 0 {
+		c.Speedup = a.MedianSeconds() / b.MedianSeconds()
+	}
 	return c, nil
 }
 

@@ -61,7 +61,7 @@ func TestCompareMeasurementsSignificant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Significant || c.PValue > 0.001 {
+	if !c.Significant || c.P > 0.001 {
 		t.Fatalf("clear 2x difference not significant: %+v", c)
 	}
 	if c.Speedup < 1.9 || c.Speedup > 2.1 {
@@ -83,8 +83,8 @@ func TestCompareMeasurementsNoise(t *testing.T) {
 	if c.Significant {
 		t.Fatalf("noise flagged significant: %+v", c)
 	}
-	if c.PValue < 0.5 {
-		t.Fatalf("p-value = %v for near-identical series", c.PValue)
+	if c.P < 0.5 {
+		t.Fatalf("p-value = %v for near-identical series", c.P)
 	}
 }
 
@@ -96,13 +96,13 @@ func TestCompareMeasurementsEdgeCases(t *testing.T) {
 	}
 	// Identical constant series: p = 1.
 	c, err := CompareMeasurements(two, two, 0)
-	if err != nil || c.PValue != 1 || c.Significant {
+	if err != nil || c.P != 1 || c.Significant {
 		t.Fatalf("identical series: %+v, %v", c, err)
 	}
 	// Distinct constant series: p = 0.
 	three := &Measurement{Name: "three", Seconds: []float64{2, 2}}
 	c2, _ := CompareMeasurements(two, three, 0)
-	if !c2.Significant || c2.PValue != 0 {
+	if !c2.Significant || c2.P != 0 {
 		t.Fatalf("distinct constants: %+v", c2)
 	}
 	// Default alpha applied.

@@ -1,8 +1,9 @@
 package metrics
 
 import (
-	"errors"
 	"math"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -170,15 +171,39 @@ func TestRunnerDefaults(t *testing.T) {
 	}
 }
 
-func TestMeasureErr(t *testing.T) {
-	r := NewRunner(QuickConfig())
-	wantErr := errors.New("boom")
-	if _, err := r.MeasureErr("fail", 0, 0, func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want boom", err)
+func TestMeasureAllRoundRobin(t *testing.T) {
+	var calls []int
+	ops := make([]Op, 3)
+	for i := range ops {
+		ops[i] = Op{Name: strconv.Itoa(i), Run: func() { calls = append(calls, i) }}
 	}
-	m, err := r.MeasureErr("ok", 0, 0, func() error { return nil })
-	if err != nil || m.N() == 0 {
-		t.Fatalf("MeasureErr ok failed: %v", err)
+	ms := NewRunner(RunnerConfig{Warmup: 2, MinRuns: 4, MaxRuns: 4}).MeasureAll(ops)
+	// Each op's warm-up, then four rounds of one sample of every op.
+	want := []int{0, 0, 1, 1, 2, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("call order %v, want %v", calls, want)
+	}
+	for i, m := range ms {
+		if m.Name != ops[i].Name || m.N() != 4 {
+			t.Fatalf("op %d: %s with %d samples", i, m.Name, m.N())
+		}
+	}
+}
+
+func TestMeasureAllStopsWhenEveryOpConverges(t *testing.T) {
+	// The steady op alone would stop at MinRuns; the one that alternates
+	// between 0 and 2 ms never meets a 5% CI, so both run to MaxRuns.
+	flip := false
+	ms := NewRunner(RunnerConfig{MinRuns: 3, MaxRuns: 8, TargetRelCI: 0.05}).MeasureAll([]Op{
+		{Name: "steady", Run: func() { time.Sleep(100 * time.Microsecond) }},
+		{Name: "noisy", Run: func() {
+			if flip = !flip; flip {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}},
+	})
+	if ms[0].N() != 8 || ms[1].N() != 8 {
+		t.Fatalf("samples %d and %d, want 8 each", ms[0].N(), ms[1].N())
 	}
 }
 

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"errors"
 	"time"
 
 	"perfeng/internal/stats"
@@ -61,36 +60,70 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	return &Runner{cfg: cfg}
 }
 
+// Op is one operation to measure: one execution of Run does FLOPs of work
+// and moves Bytes of traffic.
+type Op struct {
+	Name         string
+	FLOPs, Bytes float64
+	Run          func()
+}
+
 // Measure runs f repeatedly under the protocol and returns the Measurement.
 // flops and bytes describe one execution of f.
 func (r *Runner) Measure(name string, flops, bytes float64, f func()) *Measurement {
-	m := &Measurement{Name: name, FLOPs: flops, Bytes: bytes, Procs: 1}
-	for i := 0; i < r.cfg.Warmup; i++ {
-		f()
-	}
-	batch := 1
-	if r.cfg.MinSampleTime > 0 {
-		batch = r.calibrateBatch(f)
-	}
-	for i := 0; i < r.cfg.MaxRuns; i++ {
-		start := time.Now()
-		for j := 0; j < batch; j++ {
-			f()
+	return r.MeasureAll([]Op{{Name: name, FLOPs: flops, Bytes: bytes, Run: f}})[0]
+}
+
+// MeasureAll measures ops round-robin under the protocol, so a load burst
+// or a frequency change hits every op alike instead of whichever ran then.
+// Each op is warmed up and batch-calibrated before the first round; each
+// round then takes one sample of every op, and the rounds stop at MaxRuns
+// or once every op meets TargetRelCI. Before outlier rejection every op
+// thus has the same number of samples, and sample i of each op comes from
+// round i.
+func (r *Runner) MeasureAll(ops []Op) []*Measurement {
+	ms := make([]*Measurement, len(ops))
+	batches := make([]int, len(ops))
+	for i, op := range ops {
+		ms[i] = &Measurement{Name: op.Name, FLOPs: op.FLOPs, Bytes: op.Bytes, Procs: 1}
+		for j := 0; j < r.cfg.Warmup; j++ {
+			op.Run()
 		}
-		elapsed := time.Since(start)
-		m.Seconds = append(m.Seconds, elapsed.Seconds()/float64(batch))
-		if i+1 >= r.cfg.MinRuns && r.cfg.TargetRelCI > 0 {
-			ci := stats.MeanCI(m.Seconds, 0.95)
-			if ci.RelativeHalfWidth() <= r.cfg.TargetRelCI {
-				break
+		batches[i] = 1
+		if r.cfg.MinSampleTime > 0 {
+			batches[i] = r.calibrateBatch(op.Run)
+		}
+	}
+	for round := 1; round <= r.cfg.MaxRuns; round++ {
+		for i, op := range ops {
+			start := time.Now()
+			for j := 0; j < batches[i]; j++ {
+				op.Run()
 			}
+			ms[i].Seconds = append(ms[i].Seconds, time.Since(start).Seconds()/float64(batches[i]))
+		}
+		if round >= r.cfg.MinRuns && r.cfg.TargetRelCI > 0 && r.converged(ms) {
+			break
 		}
 	}
-	if r.cfg.RejectOutliers {
-		m.Seconds = stats.RejectIQR(m.Seconds, 1.5)
+	for _, m := range ms {
+		if r.cfg.RejectOutliers {
+			m.Seconds = stats.RejectIQR(m.Seconds, 1.5)
+		}
+		publishMeasurement(m)
 	}
-	publishMeasurement(m)
-	return m
+	return ms
+}
+
+// converged reports whether every series' 95% CI half-width is within
+// TargetRelCI of its mean.
+func (r *Runner) converged(ms []*Measurement) bool {
+	for _, m := range ms {
+		if m.MeanCI(0.95).RelativeHalfWidth() > r.cfg.TargetRelCI {
+			return false
+		}
+	}
+	return true
 }
 
 // calibrateBatch finds a batch size so one sample lasts ~MinSampleTime.
@@ -107,23 +140,4 @@ func (r *Runner) calibrateBatch(f func()) int {
 		batch *= 2
 	}
 	return batch
-}
-
-// MeasureErr runs an operation that may fail; measurement aborts on the
-// first error.
-func (r *Runner) MeasureErr(name string, flops, bytes float64, f func() error) (*Measurement, error) {
-	var err error
-	m := r.Measure(name, flops, bytes, func() {
-		if err != nil {
-			return
-		}
-		err = f()
-	})
-	if err != nil {
-		return nil, err
-	}
-	if m.N() == 0 {
-		return nil, errors.New("metrics: no samples collected")
-	}
-	return m, nil
 }

@@ -3,6 +3,7 @@ package serviced
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,7 +77,8 @@ func TestSizeAdmissionRejectsBadInputs(t *testing.T) {
 // is released exactly once, the in-flight high-water mark never
 // exceeds servers + queue depth (the bound the executor channel
 // capacity relies on), and every rejection carries a usable retry
-// horizon.
+// horizon. Live re-sizing can deepen the queue, so the depth in that
+// bound is the largest limit any admitted decision reported.
 func TestAdmissionConcurrentTenants(t *testing.T) {
 	a, err := NewAdmission(AdmissionConfig{
 		Servers:            2,
@@ -88,12 +90,10 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := a.Sizing().QueueDepth
-	bound := 2 + limit
-
 	const goroutines = 32
 	const attempts = 400
 	var admitted, badRetry int64
+	limits := make([]int, goroutines) // per goroutine: largest admitted Limit
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -116,11 +116,13 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 				if d.QueueLen > d.Limit {
 					t.Errorf("admitted with queue %d over limit %d", d.QueueLen, d.Limit)
 				}
+				limits[g] = max(limits[g], d.Limit)
 				a.Done(time.Duration(1+i%10) * time.Millisecond)
 			}
 		}(g)
 	}
 	wg.Wait()
+	bound := 2 + slices.Max(limits)
 
 	st := a.Stats()
 	if st.Inflight != 0 {

@@ -5,11 +5,12 @@ import (
 	"math"
 )
 
-// Welch's unequal-variance t-test, exported here so every layer that
-// compares repeated measurements — engagement verdicts (internal/metrics),
-// the benchmark-regression gate (internal/benchgate), and future consumers
-// of counter or simulator series — shares one implementation of the
-// course's "is this difference noise?" question.
+// Welch's unequal-variance t-test and Compare, the one verdict rule every
+// layer that compares repeated measurements shares — engagement verdicts
+// (internal/metrics), autotuner promotions and cache verification
+// (internal/tune, perfeng tune) and the benchmark-regression gate
+// (internal/benchgate) — for the course's "is this difference noise?"
+// question. Each caller passes its own alpha and practical-effect floor.
 
 // ErrTooFewSamples is returned when a test needs more repetitions.
 var ErrTooFewSamples = errors.New("stats: need >= 2 samples per side")
@@ -49,4 +50,30 @@ func WelchTTest(a, b []float64) (Welch, error) {
 		w.P = 1
 	}
 	return w, nil
+}
+
+// Verdict is the outcome of Compare.
+type Verdict struct {
+	Welch // base vs cand: T > 0 when cand's mean is smaller
+	// Shift is the relative mean shift (mean(cand)-mean(base))/mean(base);
+	// 0 when mean(base) is not positive.
+	Shift float64
+	// Significant is P < alpha and |Shift| >= minEffect.
+	Significant bool
+}
+
+// Compare runs Welch's t-test of cand against base and judges the shift:
+// significant at alpha and at least minEffect in relative size. The sign
+// of Shift says which way it went. Both series need at least two samples.
+func Compare(base, cand []float64, alpha, minEffect float64) (Verdict, error) {
+	w, err := WelchTTest(base, cand)
+	if err != nil {
+		return Verdict{}, err
+	}
+	v := Verdict{Welch: w}
+	if mb := Mean(base); mb > 0 {
+		v.Shift = (Mean(cand) - mb) / mb
+	}
+	v.Significant = w.Significant(alpha) && math.Abs(v.Shift) >= minEffect
+	return v, nil
 }

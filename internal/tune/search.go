@@ -10,7 +10,7 @@
 //     incumbent in place — so halving spends its budget where the
 //     candidates are, doubling repetitions only for survivors.
 //   - *Promotion* (replacing the incumbent champion) is Hasselbring's
-//     "benchmarking as empirical standard" bar: Welch's t-test at the
+//     "benchmarking as empirical standard" bar: stats.Compare at the
 //     full budget, significant at alpha AND faster past a practical
 //     floor, the same two filters benchgate applies to regressions.
 //     The search can therefore never install a config the comparator
@@ -128,23 +128,6 @@ type Result struct {
 	Promotions     []Promotion `json:"promotions,omitempty"`
 }
 
-// Better is the promotion comparator: cand beats incumbent iff Welch's
-// t-test finds the series significantly different at alpha AND cand's
-// mean is faster by at least minEffect (relative). It returns the test
-// outcome either way so callers can record the evidence.
-func Better(cand, incumbent []float64, alpha, minEffect float64) (stats.Welch, bool) {
-	w, err := stats.WelchTTest(incumbent, cand)
-	if err != nil {
-		return stats.Welch{}, false
-	}
-	mi, mc := stats.Mean(incumbent), stats.Mean(cand)
-	if mi <= 0 {
-		return w, false
-	}
-	win := (mi - mc) / mi
-	return w, w.Significant(alpha) && win >= minEffect
-}
-
 // Search runs the engine for one kernel×shape: measure the defaults at
 // full budget, successively halve grid, audition the survivors, hill
 // climb from the champion, and return the audited result. The returned
@@ -181,19 +164,19 @@ func Search(kernel string, n int, def Config, grid []Config, measure Measurer, o
 	champ, champSamples := def, defSamples
 	th.bestNs.With(kernel).Set(res.DefaultNs)
 
-	// promote applies the comparator; it is the only way champ moves.
+	// promote applies the comparator; it is the only way champ moves: a
+	// significant win of at least MinEffect over the champion.
 	promote := func(cfg Config, samples []float64, stage string) bool {
-		w, ok := Better(samples, champSamples, opts.Alpha, opts.MinEffect)
-		if !ok {
+		v, err := stats.Compare(champSamples, samples, opts.Alpha, opts.MinEffect)
+		if err != nil || !v.Significant || v.Shift > 0 {
 			return false
 		}
-		mi, mc := stats.Mean(champSamples), stats.Mean(samples)
 		res.Promotions = append(res.Promotions, Promotion{
-			From: champ, To: cfg, Stage: stage, Delta: (mi - mc) / mi, Welch: w, Accept: true,
+			From: champ, To: cfg, Stage: stage, Delta: -v.Shift, Welch: v.Welch, Accept: true,
 		})
 		champ, champSamples = cfg, samples
 		th.promotions.Inc()
-		th.bestNs.With(kernel).Set(mc)
+		th.bestNs.With(kernel).Set(stats.Mean(samples))
 		return true
 	}
 
@@ -291,7 +274,8 @@ func Search(kernel string, n int, def Config, grid []Config, measure Measurer, o
 		res.Speedup = res.DefaultNs / res.BestNs
 	}
 	if res.Improved {
-		res.Welch, _ = Better(champSamples, defSamples, opts.Alpha, opts.MinEffect)
+		v, _ := stats.Compare(defSamples, champSamples, opts.Alpha, opts.MinEffect)
+		res.Welch = v.Welch
 	} else {
 		res.Welch = stats.Welch{P: 1}
 		res.BestNs = res.DefaultNs

@@ -3,6 +3,8 @@ package tune
 import (
 	"math/rand"
 	"testing"
+
+	"perfeng/internal/stats"
 )
 
 // fakeSurface is a deterministic noisy cost model: every config has a
@@ -83,7 +85,7 @@ func TestSearchNeverPromotesRejected(t *testing.T) {
 			if len(res.Promotions) == 0 {
 				t.Errorf("seed %d: Improved without any recorded promotion", seed)
 			}
-			if _, ok := Better(res.BestSamples, res.DefaultSamples, alpha, minEffect); !ok {
+			if v, _ := stats.Compare(res.DefaultSamples, res.BestSamples, alpha, minEffect); !v.Significant || v.Shift > 0 {
 				t.Errorf("seed %d: Improved but best-vs-default fails the comparator (p=%g, speedup=%.3f)",
 					seed, res.Welch.P, res.Speedup)
 			}
@@ -143,24 +145,5 @@ func TestSearchTieKeepsDefaults(t *testing.T) {
 	if res.Improved || res.Best != (Config{}) || res.Speedup != 1 {
 		t.Fatalf("flat surface: Improved=%v Best=%s Speedup=%.2f, want defaults kept",
 			res.Improved, res.Best, res.Speedup)
-	}
-}
-
-func TestBetterRejectsInsignificantAndSmallWins(t *testing.T) {
-	inc := []float64{100, 101, 99, 100, 100, 101, 99, 100}
-	// 2% faster with tight variance: significant but below the floor.
-	small := []float64{98, 98.2, 97.8, 98, 98.1, 97.9, 98, 98}
-	if _, ok := Better(small, inc, 0.05, 0.05); ok {
-		t.Error("2%% win promoted past a 5%% practical-effect floor")
-	}
-	// 20% faster but wildly noisy: fails significance.
-	noisy := []float64{40, 160, 30, 150, 45, 140, 35, 40}
-	if _, ok := Better(noisy, inc, 0.05, 0.05); ok {
-		t.Error("insignificant noisy series promoted")
-	}
-	// 20% faster, tight: passes both filters.
-	good := []float64{80, 80.5, 79.5, 80, 80.2, 79.8, 80, 80}
-	if _, ok := Better(good, inc, 0.05, 0.05); !ok {
-		t.Error("clear significant win rejected")
 	}
 }

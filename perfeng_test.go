@@ -110,7 +110,7 @@ func TestSpMVFormatsOrdering(t *testing.T) {
 	// cmp.Speedup > 1 means CSC faster than CSR.
 	if cmp.Significant && cmp.Speedup > 1.5 {
 		t.Fatalf("CSC significantly faster than CSR (%.2fx, p=%.4f) — format story inverted",
-			cmp.Speedup, cmp.PValue)
+			cmp.Speedup, cmp.P)
 	}
 }
 
