@@ -327,12 +327,14 @@ func BenchmarkSmoke(b *testing.B) {
 		}
 	})
 	// Job-service admission hot path: the Admit+Done pair every request
-	// pays before a kernel runs. ResizeEvery -1 freezes the sizing (live
-	// re-size allocates a Sizing snapshot, which is fine at its 1/256
-	// cadence but would poison a 0-alloc guard), and the clock advances
-	// one millisecond per probe — with the whole rate budget on one
-	// tenant (FairShare 1), the bucket refills ~2 tokens per probe, so
-	// the drain never outruns it at any b.N.
+	// pays before a kernel runs. ResizeEvery -1 freezes the sizing, so
+	// every probe costs the same and the numbers stay comparable with
+	// the recorded baselines; a live re-size allocates nothing either,
+	// but adds one SizeAdmission call (BenchmarkSizeAdmission in
+	// internal/serviced) per ResizeEvery probes. The clock advances one
+	// millisecond per probe — with the whole rate budget on one tenant
+	// (FairShare 1), the bucket refills ~2 tokens per probe, so the
+	// drain never outruns it at any b.N.
 	b.Run("serviced-admit", func(b *testing.B) {
 		adm, err := serviced.NewAdmission(serviced.AdmissionConfig{
 			Servers:            2,

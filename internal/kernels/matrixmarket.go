@@ -61,6 +61,10 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	if rows <= 0 || cols <= 0 || nnz < 0 {
 		return nil, fmt.Errorf("kernels: invalid dimensions %dx%d nnz=%d", rows, cols, nnz)
 	}
+	if symmetry != "general" && rows != cols {
+		// The mirrored entry (j,i) of a non-square matrix is out of range.
+		return nil, fmt.Errorf("kernels: %s matrix must be square, have %dx%d", symmetry, rows, cols)
+	}
 
 	m := &COO{Rows: rows, Cols: cols}
 	read := 0

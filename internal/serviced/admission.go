@@ -40,7 +40,8 @@ type AdmissionConfig struct {
 	FairShare int
 	// ResizeEvery re-derives the sizing after this many completions
 	// (default 256, 0 uses the default); < 0 disables live re-sizing
-	// (benchmarks pin the sizing this way to keep Done allocation-free).
+	// (benchmarks pin the sizing this way so that every Done costs the
+	// same).
 	ResizeEvery int
 	// EWMAAlpha is the service-time smoothing factor (default 0.2).
 	EWMAAlpha float64
@@ -82,6 +83,7 @@ type Admission struct {
 	maxInflight int // high-water mark, for the contention tests
 	ewma        float64
 	completions uint64
+	resizes     uint64
 	sinceResize int
 	closed      bool
 
@@ -197,6 +199,7 @@ func (a *Admission) Done(service time.Duration) {
 	}
 	if s, err := SizeAdmission(a.cfg.Servers, mean, a.cfg.TargetP99); err == nil {
 		a.apply(s)
+		a.resizes++
 	}
 }
 
@@ -214,7 +217,9 @@ func (a *Admission) Sizing() Sizing {
 	return a.sizing
 }
 
-// AdmissionStats is a snapshot of the controller's counters.
+// AdmissionStats is a snapshot of the controller's counters. Resizes
+// counts the live re-sizes Done installed, on the ResizeEvery cadence
+// or on drift.
 type AdmissionStats struct {
 	Sizing         Sizing        `json:"sizing"`
 	Inflight       int           `json:"inflight"`
@@ -225,6 +230,7 @@ type AdmissionStats struct {
 	RejectedQueue  uint64        `json:"rejected_queue"`
 	RejectedClosed uint64        `json:"rejected_closed"`
 	Completions    uint64        `json:"completions"`
+	Resizes        uint64        `json:"resizes"`
 	ServiceEWMA    time.Duration `json:"service_ewma_ns"`
 	Tenants        int           `json:"tenants"`
 }
@@ -247,6 +253,7 @@ func (a *Admission) Stats() AdmissionStats {
 		RejectedQueue:  a.rejectedQueue,
 		RejectedClosed: a.rejectedClosed,
 		Completions:    a.completions,
+		Resizes:        a.resizes,
 		ServiceEWMA:    time.Duration(a.ewma * float64(time.Second)),
 		Tenants:        len(a.tenants),
 	}

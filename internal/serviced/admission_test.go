@@ -287,3 +287,79 @@ func TestSizedLimitDeterministicService(t *testing.T) {
 			measured, target)
 	}
 }
+
+// TestAdmissionResizeCadence makes the re-size count visible. Under a
+// steady service time equal to the seed estimate nothing drifts, so
+// Done re-sizes exactly every ResizeEvery completions. Under mixes of
+// 2 µs and 60 µs jobs the test logs how often the drift rule re-sizes:
+// strictly alternating, the EWMA settles into a band inside 2x of the
+// sized mean; in a seeded random order with jobs-small's proportions
+// (three short jobs to one long), runs of one kind swing it past 2x
+// again and again. A live re-size allocates nothing: Admit+Done
+// re-sizing on every completion is 0 allocs/op.
+func TestAdmissionResizeCadence(t *testing.T) {
+	const completions = 4096
+	short, long := 2*time.Microsecond, 60*time.Microsecond
+	run := func(name string, service func(i int) time.Duration) AdmissionStats {
+		a, err := NewAdmission(AdmissionConfig{
+			Servers:            2,
+			TargetP99:          2 * time.Second,
+			InitialMeanService: service(0),
+			ResizeEvery:        256,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(0, 0)
+		for i := 0; i < completions; i++ {
+			now = now.Add(time.Second)
+			if d := a.Admit("t", now); !d.OK {
+				t.Fatalf("%s: completion %d rejected: %s", name, i, d.Reason)
+			}
+			a.Done(service(i))
+		}
+		st := a.Stats()
+		t.Logf("%s: %d resizes over %d completions (the cadence alone gives %d)",
+			name, st.Resizes, st.Completions, completions/256)
+		return st
+	}
+	steady := run("steady 60 µs", func(int) time.Duration { return long })
+	if want := steady.Completions / 256; steady.Resizes != want {
+		t.Fatalf("steady service: %d resizes over %d completions, want %d",
+			steady.Resizes, steady.Completions, want)
+	}
+	run("alternating 2 µs/60 µs", func(i int) time.Duration {
+		if i%2 == 0 {
+			return short
+		}
+		return long
+	})
+	rng := rand.New(rand.NewSource(1))
+	run("random 3:1 2 µs/60 µs", func(int) time.Duration {
+		if rng.Intn(4) == 0 {
+			return long
+		}
+		return short
+	})
+
+	a, err := NewAdmission(AdmissionConfig{Servers: 2, TargetP99: 2 * time.Second,
+		InitialMeanService: time.Millisecond, ResizeEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	probe := func() {
+		now = now.Add(time.Second)
+		if a.Admit("t", now).OK {
+			a.Done(time.Millisecond)
+		}
+	}
+	probe()
+	before := a.Stats().Resizes
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		t.Fatalf("Admit+Done with a re-size per completion: %v allocs/op", allocs)
+	}
+	if got := a.Stats().Resizes - before; got != 101 {
+		t.Fatalf("%d resizes over 101 probes, want one each", got)
+	}
+}

@@ -82,6 +82,12 @@ type job struct {
 	events  chan Event
 }
 
+// sseFrameCap is the buffer room reserved per SSE frame of a stream.
+// Started, progress and result frames take ~87, ~127 and ~234 bytes,
+// so reps+3 slots hold every event after accepted in one batch; a
+// one-rep job reserves 512 bytes.
+const sseFrameCap = 128
+
 func (j *job) next() uint64 { j.seq++; return j.seq }
 
 func (j *job) emit(e Event) {
@@ -90,6 +96,25 @@ func (j *job) emit(e Event) {
 	e.Tenant = j.spec.Tenant
 	e.Seq = j.next()
 	j.events <- e
+}
+
+// drain appends the SSE frames of every event already in j.events to
+// buf without blocking. It returns the grown buffer, the number of
+// frames appended, and false once the executor has closed the channel.
+func (j *job) drain(buf []byte) ([]byte, uint64, bool) {
+	var n uint64
+	for {
+		select {
+		case e, ok := <-j.events:
+			if !ok {
+				return buf, n, false
+			}
+			buf = AppendSSE(buf, &e)
+			n++
+		default:
+			return buf, n, true
+		}
+	}
 }
 
 // Service is the job service. Create with New, attach Handler to an
@@ -328,7 +353,9 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Job-Id", j.id)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 0, 512)
+	// One buffer for the whole stream: reps+3 frames of sseFrameCap
+	// bytes hold the largest batch, so no batch grows it.
+	buf := make([]byte, 0, sseFrameCap*(spec.Reps+3))
 	accepted := Event{
 		V: SchemaVersion, Kind: KindAccepted, Job: j.id, Tenant: spec.Tenant, Seq: j.next(),
 		Queue: &QueueInfo{Position: d.Position, Len: d.QueueLen, Limit: d.Limit,
@@ -354,6 +381,12 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Each wake-up sends one batch: the event that woke the handler plus
+	// every event already waiting behind it, in one Write and one Flush.
+	// No event waits for a later one, and the last batch is flushed here
+	// rather than left to net/http. (net/http formats each chunk's size
+	// through fmt, which allocates for a chunk of 256 bytes or more, so
+	// most batches of two or more frames cost one small allocation.)
 	ctx := r.Context()
 	for {
 		select {
@@ -362,15 +395,20 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			buf = AppendSSE(buf[:0], &e)
+			var n uint64
+			buf, n, ok = j.drain(buf)
 			if _, err := w.Write(buf); err != nil {
 				// Client went away; the job still runs (its slot is
 				// accounted for) but nobody is listening.
 				s.met.disconnects.Inc()
 				return
 			}
-			s.met.eventsSent.Inc()
+			s.met.eventsSent.Add(1 + n)
 			if flusher != nil {
 				flusher.Flush()
+			}
+			if !ok {
+				return
 			}
 		case <-ctx.Done():
 			s.met.disconnects.Inc()

@@ -346,3 +346,160 @@ func TestServiceCloseRejects(t *testing.T) {
 		t.Fatalf("closed service: status %d, want 503", resp.StatusCode)
 	}
 }
+
+// gatedWriter is a ResponseWriter that records every Write and Flush
+// and holds its second Flush until gate closes, closing held when that
+// Flush begins. The first Flush is the accepted event's, which the
+// handler sends before it enqueues the job; the second is that of the
+// first batch the executor produced.
+type gatedWriter struct {
+	header     http.Header
+	held, gate chan struct{}
+
+	mu      sync.Mutex
+	writes  [][]byte
+	flushes []int // len(writes) at each Flush
+}
+
+func (g *gatedWriter) Header() http.Header { return g.header }
+func (g *gatedWriter) WriteHeader(int)     {}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.writes = append(g.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (g *gatedWriter) Flush() {
+	g.mu.Lock()
+	g.flushes = append(g.flushes, len(g.writes))
+	second := len(g.flushes) == 2
+	g.mu.Unlock()
+	if second {
+		close(g.held)
+		<-g.gate
+	}
+}
+
+// TestServiceBatchesReadyEvents: rep 1 waits until the handler is
+// held in the Flush of the started event, and the test releases that
+// Flush only once the executor has finished the job and closed its
+// channel. Every later event is then ready at once and must go out as
+// exactly one Write and one Flush, byte for byte the frames the handler
+// would have written one at a time, while events_sent still counts
+// events, not writes.
+func TestServiceBatchesReadyEvents(t *testing.T) {
+	const reps = 4
+	w := &gatedWriter{header: http.Header{}, held: make(chan struct{}), gate: make(chan struct{})}
+	reg := telemetry.NewRegistry()
+	svc, err := New(Config{
+		Registry: reg,
+		Resolve: func(spec JobSpec) (Runner, error) {
+			return func(rep int) error {
+				if rep == 1 {
+					<-w.held
+				}
+				return nil
+			}, nil
+		},
+		Admission: AdmissionConfig{Servers: 1, TargetP99: 2 * time.Second,
+			InitialMeanService: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	body, _ := json.Marshal(JobSpec{Tenant: "acme", Kernel: "x", Reps: reps})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Admission().Stats().Completions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(w.gate)
+	<-served
+
+	if len(w.writes) != 3 || fmt.Sprint(w.flushes) != "[1 2 3]" {
+		t.Fatalf("%d writes, flushes after writes %v; want accepted, started, then one batch, each flushed",
+			len(w.writes), w.flushes)
+	}
+	events := readStream(t, bytes.NewReader(w.writes[2]))
+	if len(events) != reps+1 {
+		t.Fatalf("batch holds %d events, want %d progress and the result: %+v", len(events), reps, events)
+	}
+	var oneAtATime []byte
+	for i := range events {
+		want := KindProgress
+		if i == reps {
+			want = KindResult
+		}
+		if events[i].Kind != want || events[i].Seq != uint64(i+3) {
+			t.Fatalf("batch event %d is %s seq %d, want %s seq %d", i, events[i].Kind, events[i].Seq, want, i+3)
+		}
+		oneAtATime = append(oneAtATime, AppendSSE(nil, &events[i])...)
+	}
+	if !bytes.Equal(w.writes[2], oneAtATime) {
+		t.Fatalf("batch bytes differ from its frames written one at a time:\n%q\n%q", w.writes[2], oneAtATime)
+	}
+	sent := reg.Counter("perfeng_serviced_events_sent", "").Value()
+	if want := uint64(reps + 3); sent != want {
+		t.Fatalf("events_sent = %d after %d writes, want %d events", sent, len(w.writes), want)
+	}
+}
+
+// TestServiceStreamsEachEventWithoutWaiting: rep 2 does not start until
+// the client has read progress 1, so a handler that held an event back
+// for a later one would stall the job, and rep 2 would report it.
+func TestServiceStreamsEachEventWithoutWaiting(t *testing.T) {
+	readRep1 := make(chan struct{})
+	cfg := Config{
+		Resolve: func(spec JobSpec) (Runner, error) {
+			return func(rep int) error {
+				if rep != 2 {
+					return nil
+				}
+				select {
+				case <-readRep1:
+					return nil
+				case <-time.After(10 * time.Second):
+					return errors.New("progress 1 never reached the client")
+				}
+			}, nil
+		},
+	}
+	_, srv := testService(t, cfg)
+	resp := postJob(t, srv, JobSpec{Kernel: "x", Reps: 3})
+	defer resp.Body.Close()
+
+	scanner := bufio.NewScanner(resp.Body)
+	scanner.Split(splitSSEFrames)
+	var kinds []Kind
+	for scanner.Scan() {
+		ev, err := ParseSSEFrame(scanner.Bytes())
+		if err != nil {
+			t.Fatalf("bad frame %q: %v", scanner.Bytes(), err)
+		}
+		if ev.Kind == KindError {
+			t.Fatalf("job failed: %s", ev.Message)
+		}
+		kinds = append(kinds, ev.Kind)
+		if ev.Kind == KindProgress && ev.Rep.Rep == 1 {
+			close(readRep1)
+		}
+	}
+	if err := scanner.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Kind{KindAccepted, KindStarted, KindProgress, KindProgress, KindProgress, KindResult}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("stream kinds %v, want %v", kinds, want)
+	}
+}

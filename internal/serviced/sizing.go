@@ -4,9 +4,10 @@
 // of the model:
 //
 //   - Lambda, the per-second token rate, is the largest arrival rate
-//     whose modeled p99 sojourn (queuing.MMC.SojournQuantile) still
-//     sits under the latency objective. Admitted traffic therefore
-//     never offers more load than the model says the target can absorb.
+//     whose modeled p99 sojourn still sits under the latency objective:
+//     the one whose sojourn tail (queuing.MMC.SojournTail) at the
+//     objective is at most 1%. Admitted traffic therefore never offers
+//     more load than the model says the target can absorb.
 //   - QueueDepth bounds waiting jobs so that even a worst-case admit —
 //     arriving behind a full queue — drains in time: K slots at mean
 //     drain rate c/S plus the service tail must fit the target.
@@ -95,29 +96,26 @@ func SizeAdmission(servers int, meanService, targetP99 time.Duration) (Sizing, e
 	}
 
 	// Largest lambda whose modeled p99 sojourn meets the target, by
-	// bisection over (0, c*mu). feasible() is monotone in lambda: more
-	// offered load never shortens the sojourn tail.
-	feasible := func(lambda float64) (bool, float64) {
+	// bisection over (0, c*mu). The p99 is within the target exactly when
+	// no more than 1% of sojourns exceed the target (the tail is monotone
+	// in t), so each step evaluates the tail once, at the target.
+	// feasible() is monotone in lambda: more offered load never shortens
+	// the sojourn tail.
+	feasible := func(lambda float64) bool {
 		m, err := queuing.AnalyzeMMC(lambda, mu, servers)
-		if err != nil {
-			return false, math.Inf(1)
-		}
-		q, err := m.SojournQuantile(0.99)
-		if err != nil {
-			return false, math.Inf(1)
-		}
-		return q <= target, q
+		return err == nil && m.SojournTail(target) <= 0.01
 	}
 	lo := capacity * 1e-6
 	hi := capacity * (1 - 1e-9)
-	if ok, _ := feasible(lo); !ok {
+	if !feasible(lo) {
 		// Numerical corner: even a near-empty system misses (target just
 		// above serviceP99). Treat like the unattainable fallback.
+		s.Attainable = false
 		lo = 0.5 * capacity
 	} else {
 		for i := 0; i < 60; i++ {
 			mid := (lo + hi) / 2
-			if ok, _ := feasible(mid); ok {
+			if feasible(mid) {
 				lo = mid
 			} else {
 				hi = mid
