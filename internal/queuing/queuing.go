@@ -131,9 +131,7 @@ func (m MMC) SojournTail(t float64) float64 {
 // time, the t with P(W <= t) = p, by bisection on SojournTail. This is
 // what "modeled p99 latency" means throughout internal/serviced: the
 // admission controller picks the largest arrival rate whose modeled
-// SojournQuantile(0.99) still sits under the latency objective (it
-// tests the equivalent SojournTail(objective) <= 0.01, one evaluation
-// per step).
+// SojournQuantile(0.99) still sits under the latency objective.
 func (m MMC) SojournQuantile(p float64) (float64, error) {
 	if p <= 0 || p >= 1 {
 		return 0, errors.New("queuing: quantile must be in (0, 1)")

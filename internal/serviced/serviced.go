@@ -83,9 +83,11 @@ type job struct {
 }
 
 // sseFrameCap is the buffer room reserved per SSE frame of a stream.
-// Started, progress and result frames take ~87, ~127 and ~234 bytes,
-// so reps+3 slots hold every event after accepted in one batch; a
-// one-rep job reserves 512 bytes.
+// It is sized for typical frames (the built-in kernels' ids and short
+// tenants): started, progress and result frames then take ~87, ~127
+// and ~234 bytes, so reps+3 slots hold every event after accepted in
+// one batch, and a one-rep job reserves 512 bytes. Frames carry the
+// client's tenant, so a longer one grows the buffer once.
 const sseFrameCap = 128
 
 func (j *job) next() uint64 { j.seq++; return j.seq }
@@ -354,7 +356,7 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Job-Id", j.id)
 	flusher, _ := w.(http.Flusher)
 	// One buffer for the whole stream: reps+3 frames of sseFrameCap
-	// bytes hold the largest batch, so no batch grows it.
+	// bytes hold the largest batch of typical frames.
 	buf := make([]byte, 0, sseFrameCap*(spec.Reps+3))
 	accepted := Event{
 		V: SchemaVersion, Kind: KindAccepted, Job: j.id, Tenant: spec.Tenant, Seq: j.next(),

@@ -22,7 +22,6 @@ package serviced
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -50,9 +49,10 @@ type Sizing struct {
 	Rho        float64       `json:"rho"`
 	ModeledP99 time.Duration `json:"modeled_p99_ns"`
 	// Attainable is false when the objective cannot be met even by an
-	// empty system (the service-time tail alone exceeds it); the sizing
-	// then falls back to rho=0.5 so the service stays usable and the
-	// violation is visible in ModeledP99 > TargetP99.
+	// empty system (the service-time tail alone exceeds it) or, in a
+	// numerical corner just above that, by a near-empty one; the sizing
+	// then falls back to rho=0.5 and QueueDepth = Servers so the service
+	// stays usable and the violation is visible in ModeledP99 > TargetP99.
 	Attainable bool `json:"attainable"`
 }
 
@@ -75,26 +75,6 @@ func SizeAdmission(servers int, meanService, targetP99 time.Duration) (Sizing, e
 	target := targetP99.Seconds()
 	capacity := float64(servers) * mu
 
-	// Empty-system floor: with exponential service the p99 of service
-	// alone is ln(100)/mu. Above-target means no arrival rate helps.
-	serviceP99 := math.Log(100) / mu
-	if serviceP99 >= target {
-		s.Attainable = false
-		s.Lambda = 0.5 * capacity
-		s.QueueDepth = servers
-		m, err := queuing.AnalyzeMMC(s.Lambda, mu, servers)
-		if err != nil {
-			return Sizing{}, fmt.Errorf("serviced: fallback sizing: %w", err)
-		}
-		s.Rho = m.Rho
-		q, err := m.SojournQuantile(0.99)
-		if err != nil {
-			return Sizing{}, err
-		}
-		s.ModeledP99 = time.Duration(q * float64(time.Second))
-		return s, nil
-	}
-
 	// Largest lambda whose modeled p99 sojourn meets the target, by
 	// bisection over (0, c*mu). The p99 is within the target exactly when
 	// no more than 1% of sojourns exceed the target (the tail is monotone
@@ -105,14 +85,18 @@ func SizeAdmission(servers int, meanService, targetP99 time.Duration) (Sizing, e
 		m, err := queuing.AnalyzeMMC(lambda, mu, servers)
 		return err == nil && m.SojournTail(target) <= 0.01
 	}
+	// Empty-system floor: with exponential service the p99 of service
+	// alone is ln(100)/mu. Above-target means no arrival rate helps; just
+	// above it, even a near-empty system can miss numerically. Either way
+	// the sizing falls back to rho=0.5 and one queue slot per executor.
+	serviceP99 := math.Log(100) / mu
 	lo := capacity * 1e-6
-	hi := capacity * (1 - 1e-9)
-	if !feasible(lo) {
-		// Numerical corner: even a near-empty system misses (target just
-		// above serviceP99). Treat like the unattainable fallback.
+	if serviceP99 >= target || !feasible(lo) {
 		s.Attainable = false
-		lo = 0.5 * capacity
+		s.Lambda = 0.5 * capacity
+		s.QueueDepth = servers
 	} else {
+		hi := capacity * (1 - 1e-9)
 		for i := 0; i < 60; i++ {
 			mid := (lo + hi) / 2
 			if feasible(mid) {
@@ -121,8 +105,20 @@ func SizeAdmission(servers int, meanService, targetP99 time.Duration) (Sizing, e
 				hi = mid
 			}
 		}
+		s.Lambda = lo
+		// Queue bound: a job admitted behind K waiters starts after the
+		// queue drains at rate c*mu (all servers busy while a queue
+		// exists), so its modeled p99 sojourn is K/(c*mu) + serviceP99.
+		// The largest K keeping that under target is the depth.
+		k := int(math.Floor((target - serviceP99) * capacity))
+		if k < 1 {
+			k = 1
+		}
+		if k > maxQueueDepth {
+			k = maxQueueDepth
+		}
+		s.QueueDepth = k
 	}
-	s.Lambda = lo
 	m, err := queuing.AnalyzeMMC(s.Lambda, mu, servers)
 	if err != nil {
 		return Sizing{}, err
@@ -133,18 +129,5 @@ func SizeAdmission(servers int, meanService, targetP99 time.Duration) (Sizing, e
 		return Sizing{}, err
 	}
 	s.ModeledP99 = time.Duration(q * float64(time.Second))
-
-	// Queue bound: a job admitted behind K waiters starts after the
-	// queue drains at rate c*mu (all servers busy while a queue exists),
-	// so its modeled p99 sojourn is K/(c*mu) + serviceP99. The largest K
-	// keeping that under target is the depth.
-	k := int(math.Floor((target - serviceP99) * capacity))
-	if k < 1 {
-		k = 1
-	}
-	if k > maxQueueDepth {
-		k = maxQueueDepth
-	}
-	s.QueueDepth = k
 	return s, nil
 }
