@@ -327,21 +327,22 @@ func BenchmarkSmoke(b *testing.B) {
 		}
 	})
 	// Job-service admission hot path: the Admit+Done pair every request
-	// pays before a kernel runs. ResizeEvery -1 freezes the sizing, so
-	// every probe costs the same and the numbers stay comparable with
-	// the recorded baselines; a live re-size allocates nothing either,
-	// but adds one SizeAdmission call (BenchmarkSizeAdmission in
-	// internal/serviced) per ResizeEvery probes. The clock advances one
-	// millisecond per probe — with the whole rate budget on one tenant
-	// (FairShare 1), the bucket refills ~2 tokens per probe, so the
-	// drain never outruns it at any b.N.
+	// pays before a kernel runs. Every probe completes in exactly the
+	// seed's service time, so each window's mean equals the sized mean
+	// and admission never re-sizes: every probe costs the same and the
+	// numbers stay comparable with the recorded baselines. (A live
+	// re-size allocates nothing either, but adds one SizeAdmission call,
+	// BenchmarkSizeAdmission in internal/serviced, at the end of a
+	// 256-completion window.) The clock advances one millisecond per
+	// probe — with the whole rate budget on one tenant (FairShare 1), the
+	// bucket refills ~2 tokens per probe, so the drain never outruns it
+	// at any b.N.
 	b.Run("serviced-admit", func(b *testing.B) {
 		adm, err := serviced.NewAdmission(serviced.AdmissionConfig{
 			Servers:            2,
 			TargetP99:          10 * time.Second,
 			InitialMeanService: time.Millisecond,
 			FairShare:          1,
-			ResizeEvery:        -1,
 		})
 		if err != nil {
 			b.Fatal(err)

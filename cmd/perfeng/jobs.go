@@ -98,8 +98,8 @@ func newJobService(reg *telemetry.Registry, executors int, targetP99 time.Durati
 		Admission: serviced.AdmissionConfig{
 			Servers:   executors,
 			TargetP99: targetP99,
-			// Seeded pessimistically; the EWMA converges within the first
-			// ResizeEvery completions of real traffic.
+			// Seeded pessimistically; admission re-sizes from the mean of
+			// the first 256 completions of real traffic.
 			InitialMeanService: 5 * time.Millisecond,
 		},
 		Registry: reg,

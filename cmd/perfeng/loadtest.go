@@ -161,9 +161,9 @@ func loadReportText(rep *serviced.LoadReport) string {
 		s += fmt.Sprintf("loadtest: server-side sojourn (admit->done) p50=%v p95=%v p99=%v\n",
 			st.SojournP50.Round(time.Microsecond), st.SojournP95.Round(time.Microsecond),
 			st.SojournP99.Round(time.Microsecond))
-		s += fmt.Sprintf("loadtest: server admission: lambda=%.1f/s queue<=%d rho=%.2f service ewma=%v\n",
+		s += fmt.Sprintf("loadtest: server admission: lambda=%.1f/s queue<=%d rho=%.2f service mean=%v\n",
 			st.Sizing.Lambda, st.Sizing.QueueDepth, st.Sizing.Rho,
-			st.ServiceEWMA.Round(time.Microsecond))
+			st.ServiceMean.Round(time.Microsecond))
 	}
 	if rep.ModeledP99 > 0 {
 		s += fmt.Sprintf("loadtest: modeled p99 at achieved load: %v (model error vs server-side p99: %+.1f%%)\n",

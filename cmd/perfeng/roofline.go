@@ -55,7 +55,7 @@ func writeRoofline(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		var ops []metrics.Op
+		ops := make([]metrics.Op, 0, 1+len(app.Candidates))
 		for _, v := range append([]perfeng.Variant{app.Baseline}, app.Candidates...) {
 			ops = append(ops, metrics.Op{Name: v.Name, FLOPs: app.FLOPs, Bytes: app.Bytes, Run: v.Run})
 		}

@@ -26,11 +26,11 @@ func die(msg string) {
 func hotLoop(n int) int {
 	total := 0
 	for i := 0; i < n; i++ {
-		total += len(format(i))       // want `call to fmttransitive\.format reaches fmt\.Sprintf on every loop iteration.*via fmttransitive\.format → fmt\.Sprintf`
-		total += len(dep.Describe(i)) // want `call to fmttransitivedep\.Describe reaches fmt\.Sprintf on every loop iteration.*via fmttransitivedep\.Describe → fmt\.Sprintf`
-		total += len(dep.DescribeDeep(i)) // want `call to fmttransitivedep\.DescribeDeep reaches fmt\.Sprintf.*via fmttransitivedep\.DescribeDeep → fmttransitivedep\.Describe → fmt\.Sprintf`
-		total += len(dep.CondDescribe(i)) // conditional fmt in the callee: no finding
-		total += dep.Plain(i)             // no formatting anywhere: no finding
+		total += len(format(i))                // want `call to fmttransitive\.format reaches fmt\.Sprintf on every loop iteration.*via fmttransitive\.format → fmt\.Sprintf`
+		total += len(dep.Describe(i))          // want `call to fmttransitivedep\.Describe reaches fmt\.Sprintf on every loop iteration.*via fmttransitivedep\.Describe → fmt\.Sprintf`
+		total += len(dep.DescribeDeep(i))      // want `call to fmttransitivedep\.DescribeDeep reaches fmt\.Sprintf.*via fmttransitivedep\.DescribeDeep → fmttransitivedep\.Describe → fmt\.Sprintf`
+		total += len(dep.CondDescribe(i))      // conditional fmt in the callee: no finding
+		total += dep.Plain(i)                  // no formatting anywhere: no finding
 		total += len(dep.Label{N: i}.String()) // Stringer call: formatting is explicit here, no finding
 		total += len(dep.Named(i))             // fmt reached only through a Stringer: edge cut, no finding
 		if total < 0 {

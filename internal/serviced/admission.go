@@ -1,6 +1,8 @@
 // Admission control for the job service: a token bucket per tenant in
 // front of one bounded queue, both sized from the M/M/c model in
-// sizing.go and re-sized live as the measured service time drifts.
+// sizing.go and re-sized live by one rule: at the end of every window
+// of resizeWindow completions, when the window's mean service time is
+// more than resizeBand away from the mean the sizing was derived from.
 //
 // The fast path — Admit on a known tenant — is one mutex, a map lookup
 // and float arithmetic: 0 allocs/op, gated by the serviced-admit entry
@@ -22,6 +24,17 @@ const (
 	ReasonClosed = "closed" // service draining
 )
 
+// The re-size rule. Done sums the service times of a tumbling window
+// of resizeWindow completions and, at the window's end, re-sizes only
+// when the window's mean lies more than resizeBand (a fraction) from
+// Sizing.MeanService. A 256-job mean is steady on a bimodal mix that a
+// few-job average is not, so the limits move when the workload does,
+// not when a run of long jobs happens to arrive.
+const (
+	resizeWindow = 256
+	resizeBand   = 0.25
+)
+
 // AdmissionConfig configures the admission controller.
 type AdmissionConfig struct {
 	// Servers is the executor count — the c of the M/M/c sizing.
@@ -29,8 +42,8 @@ type AdmissionConfig struct {
 	// TargetP99 is the sojourn (admit -> result) objective the sizing
 	// keeps the modeled p99 under.
 	TargetP99 time.Duration
-	// InitialMeanService seeds the service-time estimate before any job
-	// has completed; the EWMA takes over from the first completion.
+	// InitialMeanService seeds the service-time estimate until the first
+	// window of completions has been measured.
 	InitialMeanService time.Duration
 	// FairShare divides the sized arrival rate among tenants: each
 	// tenant's bucket refills at Lambda/FairShare, so any FairShare
@@ -38,13 +51,6 @@ type AdmissionConfig struct {
 	// single tenant can take more than 1/FairShare of capacity.
 	// Default 4.
 	FairShare int
-	// ResizeEvery re-derives the sizing after this many completions
-	// (default 256, 0 uses the default); < 0 disables live re-sizing
-	// (benchmarks pin the sizing this way so that every Done costs the
-	// same).
-	ResizeEvery int
-	// EWMAAlpha is the service-time smoothing factor (default 0.2).
-	EWMAAlpha float64
 }
 
 // Decision is one admission verdict.
@@ -79,12 +85,13 @@ type Admission struct {
 	burst   float64
 	tenants map[string]*tenantBucket
 
-	inflight    int // admitted and not yet Done (running + queued)
-	maxInflight int // high-water mark, for the contention tests
-	ewma        float64
+	inflight    int           // admitted and not yet Done (running + queued)
+	maxInflight int           // high-water mark, for the contention tests
+	mean        time.Duration // last full window's mean service time
+	winSum      time.Duration // service times of the current window
+	winN        int
 	completions uint64
 	resizes     uint64
-	sinceResize int
 	closed      bool
 
 	admitted, rejectedRate, rejectedQueue, rejectedClosed uint64
@@ -94,12 +101,6 @@ type Admission struct {
 func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 	if cfg.FairShare <= 0 {
 		cfg.FairShare = 4
-	}
-	if cfg.ResizeEvery == 0 {
-		cfg.ResizeEvery = 256
-	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.2
 	}
 	if cfg.InitialMeanService <= 0 {
 		return nil, errors.New("serviced: need a positive initial mean service time")
@@ -111,7 +112,7 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 	a := &Admission{
 		cfg:     cfg,
 		tenants: make(map[string]*tenantBucket),
-		ewma:    cfg.InitialMeanService.Seconds(),
+		mean:    cfg.InitialMeanService,
 	}
 	a.apply(s)
 	return a, nil
@@ -156,7 +157,7 @@ func (a *Admission) Admit(tenant string, now time.Time) Decision {
 	}
 	if waiting >= limit {
 		a.rejectedQueue++
-		retry := time.Duration(a.ewma / float64(a.cfg.Servers) * float64(time.Second))
+		retry := a.mean / time.Duration(a.cfg.Servers)
 		return Decision{Reason: ReasonQueue, QueueLen: waiting, Limit: limit, RetryAfter: retry}
 	}
 	b.tokens--
@@ -168,36 +169,34 @@ func (a *Admission) Admit(tenant string, now time.Time) Decision {
 	return Decision{OK: true, Position: waiting, QueueLen: waiting, Limit: limit}
 }
 
-// Done releases one admitted job's slot and folds its measured service
-// time (pure execution, excluding queue wait) into the EWMA the sizing
-// is derived from. Every ResizeEvery completions — or immediately when
-// the estimate has drifted past 2x in either direction — the admission
-// limits are re-derived from the model.
+// Done releases one admitted job's slot. A positive service time
+// (pure execution, excluding queue wait) joins the current window; a
+// job released without running passes 0 and counts as a completion
+// only. When the window is full, its mean replaces the estimate, and
+// the admission limits are re-derived from the model if that mean lies
+// more than resizeBand from the one the sizing was derived from.
 func (a *Admission) Done(service time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.inflight > 0 {
 		a.inflight--
 	}
-	if service > 0 {
-		a.ewma += a.cfg.EWMAAlpha * (service.Seconds() - a.ewma)
-	}
 	a.completions++
-	if a.cfg.ResizeEvery < 0 {
+	if service <= 0 {
 		return
 	}
-	a.sinceResize++
-	sized := a.sizing.MeanService.Seconds()
-	drifted := a.ewma > 2*sized || a.ewma < sized/2
-	if a.sinceResize < a.cfg.ResizeEvery && !(drifted && a.sinceResize >= 8) {
+	a.winSum += service
+	a.winN++
+	if a.winN < resizeWindow {
 		return
 	}
-	a.sinceResize = 0
-	mean := time.Duration(a.ewma * float64(time.Second))
-	if mean <= 0 {
+	a.mean = a.winSum / resizeWindow
+	a.winSum, a.winN = 0, 0
+	sized := a.sizing.MeanService
+	if math.Abs(float64(a.mean-sized)) <= resizeBand*float64(sized) {
 		return
 	}
-	if s, err := SizeAdmission(a.cfg.Servers, mean, a.cfg.TargetP99); err == nil {
+	if s, err := SizeAdmission(a.cfg.Servers, a.mean, a.cfg.TargetP99); err == nil {
 		a.apply(s)
 		a.resizes++
 	}
@@ -218,8 +217,8 @@ func (a *Admission) Sizing() Sizing {
 }
 
 // AdmissionStats is a snapshot of the controller's counters. Resizes
-// counts the live re-sizes Done installed, on the ResizeEvery cadence
-// or on drift.
+// counts the live re-sizes Done installed. ServiceMean is the last full
+// window's mean service time (InitialMeanService before the first).
 type AdmissionStats struct {
 	Sizing         Sizing        `json:"sizing"`
 	Inflight       int           `json:"inflight"`
@@ -231,7 +230,7 @@ type AdmissionStats struct {
 	RejectedClosed uint64        `json:"rejected_closed"`
 	Completions    uint64        `json:"completions"`
 	Resizes        uint64        `json:"resizes"`
-	ServiceEWMA    time.Duration `json:"service_ewma_ns"`
+	ServiceMean    time.Duration `json:"service_mean_ns"`
 	Tenants        int           `json:"tenants"`
 }
 
@@ -254,7 +253,7 @@ func (a *Admission) Stats() AdmissionStats {
 		RejectedClosed: a.rejectedClosed,
 		Completions:    a.completions,
 		Resizes:        a.resizes,
-		ServiceEWMA:    time.Duration(a.ewma * float64(time.Second)),
+		ServiceMean:    a.mean,
 		Tenants:        len(a.tenants),
 	}
 }

@@ -2,6 +2,7 @@ package serviced
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -77,15 +78,16 @@ func TestSizeAdmissionRejectsBadInputs(t *testing.T) {
 // is released exactly once, the in-flight high-water mark never
 // exceeds servers + queue depth (the bound the executor channel
 // capacity relies on), and every rejection carries a usable retry
-// horizon. Live re-sizing can deepen the queue, so the depth in that
-// bound is the largest limit any admitted decision reported.
+// horizon. The seed (1 ms) sits far outside the ±25% band of the
+// services' 5.5 ms mean, so the first full window re-sizes under
+// contention. Live re-sizing can change the queue depth, so the depth
+// in that bound is the largest limit any admitted decision reported.
 func TestAdmissionConcurrentTenants(t *testing.T) {
 	a, err := NewAdmission(AdmissionConfig{
 		Servers:            2,
 		TargetP99:          50 * time.Millisecond,
-		InitialMeanService: 5 * time.Millisecond,
+		InitialMeanService: time.Millisecond,
 		FairShare:          4,
-		ResizeEvery:        16, // exercise live re-sizing under contention
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +149,9 @@ func TestAdmissionConcurrentTenants(t *testing.T) {
 	if st.RejectedRate+st.RejectedQueue == 0 {
 		t.Fatal("tiny queue never rejected; test is vacuous")
 	}
+	if st.Resizes == 0 {
+		t.Fatalf("no live re-size over %d completions; test is vacuous", st.Completions)
+	}
 }
 
 // TestAdmissionQueueNeverExceedsBound drives admits with no Done calls
@@ -192,34 +197,48 @@ func TestAdmissionClose(t *testing.T) {
 	}
 }
 
-// TestAdmissionResizesOnDrift feeds completions 8x slower than the
-// seed estimate and checks the controller re-derives a smaller lambda
-// without waiting for the ResizeEvery period.
+// TestAdmissionResizesOnDrift holds service at the seed for part of a
+// window, then steps it up 8x: the controller must re-size within two
+// windows of the step, shrink lambda, and end with a sized mean within
+// resizeBand of the new service time.
 func TestAdmissionResizesOnDrift(t *testing.T) {
 	a, err := NewAdmission(AdmissionConfig{
 		Servers:            2,
 		TargetP99:          2 * time.Second,
 		InitialMeanService: time.Millisecond,
-		ResizeEvery:        1 << 20, // periodic path effectively off; drift must trigger
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := a.Sizing()
 	now := time.Now()
-	for i := 0; i < 64; i++ {
+	complete := func(service time.Duration) {
 		now = now.Add(time.Second)
-		if d := a.Admit("t", now); d.OK {
-			a.Done(8 * time.Millisecond)
+		if d := a.Admit("t", now); !d.OK {
+			t.Fatalf("rejected: %s", d.Reason)
 		}
+		a.Done(service)
+	}
+	for i := 0; i < resizeWindow+100; i++ {
+		complete(time.Millisecond)
+	}
+	if st := a.Stats(); st.Resizes != 0 {
+		t.Fatalf("service at the seed re-sized %d times", st.Resizes)
+	}
+	const slow = 8 * time.Millisecond
+	for i := 0; i < 2*resizeWindow; i++ {
+		complete(slow)
 	}
 	after := a.Sizing()
-	if after.MeanService == before.MeanService {
-		t.Fatalf("8x drift never re-sized: before=%+v after=%+v", before, after)
+	if a.Stats().Resizes == 0 {
+		t.Fatalf("8x step never re-sized within two windows: before=%+v after=%+v", before, after)
 	}
 	if after.Lambda >= before.Lambda {
 		t.Fatalf("slower service must shrink lambda: before %.1f, after %.1f",
 			before.Lambda, after.Lambda)
+	}
+	if off := math.Abs(float64(after.MeanService-slow)) / float64(slow); off > resizeBand {
+		t.Fatalf("sized mean %v is %.0f%% from the new service time %v", after.MeanService, 100*off, slow)
 	}
 }
 
@@ -288,24 +307,23 @@ func TestSizedLimitDeterministicService(t *testing.T) {
 	}
 }
 
-// TestAdmissionResizeCadence makes the re-size count visible. Under a
-// steady service time equal to the seed estimate nothing drifts, so
-// Done re-sizes exactly every ResizeEvery completions. Under mixes of
-// 2 µs and 60 µs jobs the test logs how often the drift rule re-sizes:
-// strictly alternating, the EWMA settles into a band inside 2x of the
-// sized mean; in a seeded random order with jobs-small's proportions
-// (three short jobs to one long), runs of one kind swing it past 2x
-// again and again. A live re-size allocates nothing: Admit+Done
-// re-sizing on every completion is 0 allocs/op.
+// TestAdmissionResizeCadence makes the re-size count visible. A
+// steady service time equal to the seed never leaves the band, so it
+// never re-sizes. Mixes of 2 µs and 60 µs jobs, strictly alternating
+// or in a seeded random order with jobs-small's proportions (three
+// short jobs to one long), re-size at most once per window: the first
+// window moves the sizing from the seed to the mix's mean, and a
+// 256-job mean of the mix seldom leaves the band after that. A live
+// re-size allocates nothing: one whole window of Admit+Done that ends
+// in a re-size is 0 allocs.
 func TestAdmissionResizeCadence(t *testing.T) {
-	const completions = 4096
+	const completions = 16 * resizeWindow
 	short, long := 2*time.Microsecond, 60*time.Microsecond
 	run := func(name string, service func(i int) time.Duration) AdmissionStats {
 		a, err := NewAdmission(AdmissionConfig{
 			Servers:            2,
 			TargetP99:          2 * time.Second,
-			InitialMeanService: service(0),
-			ResizeEvery:        256,
+			InitialMeanService: long,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -319,14 +337,16 @@ func TestAdmissionResizeCadence(t *testing.T) {
 			a.Done(service(i))
 		}
 		st := a.Stats()
-		t.Logf("%s: %d resizes over %d completions (the cadence alone gives %d)",
-			name, st.Resizes, st.Completions, completions/256)
+		t.Logf("%s: %d resizes over %d completions", name, st.Resizes, st.Completions)
+		if windows := st.Completions / resizeWindow; st.Resizes > windows {
+			t.Errorf("%s: %d resizes over %d completions, more than one per window (%d)",
+				name, st.Resizes, st.Completions, windows)
+		}
 		return st
 	}
-	steady := run("steady 60 µs", func(int) time.Duration { return long })
-	if want := steady.Completions / 256; steady.Resizes != want {
-		t.Fatalf("steady service: %d resizes over %d completions, want %d",
-			steady.Resizes, steady.Completions, want)
+	if st := run("steady 60 µs", func(int) time.Duration { return long }); st.Resizes != 0 {
+		t.Fatalf("steady service at the seed: %d resizes over %d completions, want 0",
+			st.Resizes, st.Completions)
 	}
 	run("alternating 2 µs/60 µs", func(i int) time.Duration {
 		if i%2 == 0 {
@@ -343,23 +363,29 @@ func TestAdmissionResizeCadence(t *testing.T) {
 	})
 
 	a, err := NewAdmission(AdmissionConfig{Servers: 2, TargetP99: 2 * time.Second,
-		InitialMeanService: time.Millisecond, ResizeEvery: 1})
+		InitialMeanService: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Unix(0, 0)
-	probe := func() {
-		now = now.Add(time.Second)
-		if a.Admit("t", now).OK {
-			a.Done(time.Millisecond)
+	service := time.Millisecond
+	// window runs one whole window at a service time 4x away from the
+	// last one's, so that it ends in a re-size. AllocsPerRun divides the
+	// allocation count by its runs in integers, so it must measure a
+	// whole window: one allocation spread over 256 probes would read 0.
+	window := func() {
+		service = 5*time.Millisecond - service // 1 ms <-> 4 ms
+		for i := 0; i < resizeWindow; i++ {
+			now = now.Add(time.Second)
+			if a.Admit("t", now).OK {
+				a.Done(service)
+			}
 		}
 	}
-	probe()
-	before := a.Stats().Resizes
-	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
-		t.Fatalf("Admit+Done with a re-size per completion: %v allocs/op", allocs)
+	if allocs := testing.AllocsPerRun(10, window); allocs != 0 {
+		t.Fatalf("Admit+Done over a window that re-sizes: %v allocs/window", allocs)
 	}
-	if got := a.Stats().Resizes - before; got != 101 {
-		t.Fatalf("%d resizes over 101 probes, want one each", got)
+	if st := a.Stats(); st.Resizes != 11 {
+		t.Fatalf("%d resizes over 11 windows, want one each", st.Resizes)
 	}
 }

@@ -42,12 +42,13 @@ var fuzzKernels = []string{"bfs", "fft", "gameoflife", "histogram", "matmul",
 	"pagerank", "spmv", "stencil", "wordle"}
 
 // FuzzHandleJobs posts hostile JobSpec bodies to a fresh Service per
-// input, over a resolver that knows the built-in kernel names, rejects
-// a negative n, and fails the job when the policy is "fail". Every
-// response must be 200, 400 or 429; a 200 body must be SSE frames that
-// ParseSSEFrame accepts, with seq counting up from 1 and exactly one
-// terminal event, the last; and once the service is closed, every
-// admitted job must have completed.
+// input, over a resolver that knows the built-in kernel names and a
+// "panic" kernel whose every rep panics, rejects a negative n, and
+// fails the job when the policy is "fail". Every response must be 200,
+// 400 or 429; a 200 body must be SSE frames that ParseSSEFrame
+// accepts, with seq counting up from 1 and exactly one terminal event,
+// the last; and once the service is closed, every admitted job must
+// have completed.
 func FuzzHandleJobs(f *testing.F) {
 	for _, k := range fuzzKernels {
 		f.Add([]byte(`{"tenant":"t1","kernel":"` + k + `","n":64,"workers":2,"reps":2}`))
@@ -56,7 +57,8 @@ func FuzzHandleJobs(f *testing.F) {
 	f.Add([]byte(`{"tenant":"t1","kernel":"spmv","n":-5}`))
 	f.Add([]byte(`{"tenant":"","kernel":"fft"}`))
 	f.Add([]byte(`{"kernel":"stencil","policy":"fail","reps":3}`))
-	known := map[string]bool{}
+	f.Add([]byte(`{"tenant":"t2","kernel":"panic","reps":2}`))
+	known := map[string]bool{"panic": true}
 	for _, k := range fuzzKernels {
 		known[k] = true
 	}
@@ -65,6 +67,9 @@ func FuzzHandleJobs(f *testing.F) {
 			return nil, fmt.Errorf("bad job %s n=%d", spec.Kernel, spec.N)
 		}
 		return func(rep int) error {
+			if spec.Kernel == "panic" {
+				panic("kernel bug")
+			}
 			if spec.Policy == "fail" {
 				return errors.New("rep failed")
 			}

@@ -215,7 +215,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	// achieved operating point.
 	if st, err := fetchStats(context.Background(), client, cfg.URL); err == nil {
 		rep.ServerStats = st
-		mean := st.ServiceEWMA.Seconds()
+		mean := st.ServiceMean.Seconds()
 		if mean > 0 && rep.Throughput > 0 && st.Sizing.Servers > 0 {
 			mu := 1 / mean
 			lambda := rep.Throughput

@@ -143,7 +143,7 @@ type serviceMetrics struct {
 	disconnects                                           *telemetry.Counter
 	tenantAdmitted                                        *telemetry.CounterFamily
 	queueLen, inflight, lambda, depth                     *telemetry.Gauge
-	modeledP99, serviceEWMA                               *telemetry.Gauge
+	modeledP99, serviceMean                               *telemetry.Gauge
 	sojourn, service, wait                                *telemetry.Histogram
 }
 
@@ -176,8 +176,8 @@ func newServiceMetrics(reg *telemetry.Registry) serviceMetrics {
 			"Model-sized bound on waiting jobs."),
 		modeledP99: reg.Gauge("perfeng_serviced_modeled_p99_seconds",
 			"Modeled p99 sojourn at the sized arrival cap."),
-		serviceEWMA: reg.Gauge("perfeng_serviced_service_ewma_seconds",
-			"Smoothed measured mean service time feeding the sizing."),
+		serviceMean: reg.Gauge("perfeng_serviced_service_mean_seconds",
+			"Mean service time of the last full window of completions, which the sizing reads."),
 		sojourn: reg.Histogram("perfeng_serviced_sojourn_seconds",
 			"Admit-to-completion time of admitted jobs.", -30, 4),
 		service: reg.Histogram("perfeng_serviced_service_seconds",
@@ -225,7 +225,7 @@ func (s *Service) publishSizing() {
 	s.met.lambda.Set(st.Sizing.Lambda)
 	s.met.depth.Set(float64(st.Sizing.QueueDepth))
 	s.met.modeledP99.Set(st.Sizing.ModeledP99.Seconds())
-	s.met.serviceEWMA.Set(st.ServiceEWMA.Seconds())
+	s.met.serviceMean.Set(st.ServiceMean.Seconds())
 }
 
 // Admission exposes the controller (stats endpoints, tests).
@@ -482,6 +482,8 @@ func (s *Service) executor() {
 
 // run executes one job: started, one progress per rep, then result (or
 // error), releasing the admission slot with the measured service time.
+// A rep that panics fails its job like a rep that returns an error, so
+// a bug in one kernel costs one job and the executor keeps serving.
 func (s *Service) run(j *job, durs []float64) {
 	started := time.Now()
 	wait := started.Sub(j.admitAt)
@@ -492,7 +494,7 @@ func (s *Service) run(j *job, durs []float64) {
 	var total time.Duration
 	for rep := 1; rep <= reps; rep++ {
 		t0 := time.Now()
-		err := j.runner(rep)
+		err := runRep(j.runner, rep)
 		d := time.Since(t0)
 		total += d
 		if err != nil {
@@ -519,6 +521,16 @@ func (s *Service) run(j *job, durs []float64) {
 	close(j.events)
 	s.met.completed.Inc()
 	s.finish(j, wait, total)
+}
+
+// runRep runs one rep and turns a panic in it into an error.
+func runRep(r Runner, rep int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("kernel panic: %v", p)
+		}
+	}()
+	return r(rep)
 }
 
 // finish releases the admission slot and records the latency split.

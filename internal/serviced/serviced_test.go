@@ -321,6 +321,47 @@ func TestServiceErrorEvent(t *testing.T) {
 	}
 }
 
+// TestServiceSurvivesKernelPanic: a rep that panics ends its job's
+// stream with an error event and releases its slot, and the one
+// executor goes on to run the next job to its result.
+func TestServiceSurvivesKernelPanic(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := Config{
+		Resolve: func(spec JobSpec) (Runner, error) {
+			return func(rep int) error {
+				if spec.Kernel == "panic" && rep == 2 {
+					panic("index out of range")
+				}
+				return nil
+			}, nil
+		},
+		Admission: AdmissionConfig{Servers: 1, TargetP99: 2 * time.Second,
+			InitialMeanService: time.Millisecond},
+		Registry: reg,
+	}
+	svc, srv := testService(t, cfg)
+	resp := postJob(t, srv, JobSpec{Kernel: "panic", Reps: 3})
+	events := readStream(t, resp.Body)
+	resp.Body.Close()
+	last := events[len(events)-1]
+	if last.Kind != KindError || last.Message != "kernel panic: index out of range" {
+		t.Fatalf("want a terminal error event naming the panic, got %+v", last)
+	}
+	resp = postJob(t, srv, JobSpec{Kernel: "ok", Reps: 2})
+	events = readStream(t, resp.Body)
+	resp.Body.Close()
+	if last := events[len(events)-1]; last.Kind != KindResult {
+		t.Fatalf("the job after a panic did not complete: %+v", last)
+	}
+	if st := svc.Admission().Stats(); st.Admitted != 2 || st.Completions != 2 || st.Inflight != 0 {
+		t.Fatalf("ledger after a panic: %d admitted, %d completed, %d in flight",
+			st.Admitted, st.Completions, st.Inflight)
+	}
+	if n := reg.Counter("perfeng_serviced_job_errors", "").Value(); n != 1 {
+		t.Fatalf("%v job errors counted, want the panic's 1", n)
+	}
+}
+
 func TestServiceStatsEndpoint(t *testing.T) {
 	_, srv := testService(t, Config{})
 	resp, err := srv.Client().Get(srv.URL + "/v1/stats")

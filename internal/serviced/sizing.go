@@ -12,8 +12,10 @@
 //     arriving behind a full queue — drains in time: K slots at mean
 //     drain rate c/S plus the service tail must fit the target.
 //
-// Both are re-derived live as the measured mean service time drifts
-// (Admission.Done feeds an EWMA and re-sizes), which is the "measure,
+// Both are re-derived live when the measured mean service time moves
+// (Admission.Done measures it over windows of 256 completions and
+// re-sizes when a window's mean leaves a ±25% band around the sized
+// one), which is the "measure,
 // model, operate" loop of the paper's process applied to the service's
 // own front door. The model is exact for Poisson arrivals and
 // exponential service; real traffic is neither, so EXPERIMENTS.md

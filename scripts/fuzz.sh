@@ -4,35 +4,37 @@
 #
 #   sh scripts/fuzz.sh
 #
-# Each target runs on top of its committed seed corpus with two fuzz
-# workers (-parallel 2), and minimizes a new interesting input for at
-# most 1s: the default minimization limit is 60s, no execs are counted
-# while a worker minimizes, and with one worker or the default limit a
-# target could spend its whole budget on a handful of inputs. Each
-# target's final execs count is printed and, when GITHUB_STEP_SUMMARY
-# names a file, appended to it as a table. A target that reports no
-# execs count fails: go test exits 0 with a warning when -fuzz matches
-# no target, so a renamed or mistyped entry below would otherwise pass
-# without fuzzing anything. Every target runs; the script exits 1
+# The targets are whatever `go test -list '^Fuzz' ./...` lists, package
+# by package, so a new Fuzz function is fuzzed without editing this
+# script. Each target runs on top of its committed seed corpus with two
+# fuzz workers (-parallel 2), and minimizes a new interesting input for
+# at most 1s: the default minimization limit is 60s, no execs are
+# counted while a worker minimizes, and with one worker or the default
+# limit a target could spend its whole budget on a handful of inputs.
+# Each target's final execs count is printed and, when
+# GITHUB_STEP_SUMMARY names a file, appended to it as a table. A target
+# that reports no execs count fails: go test exits 0 with a warning
+# when -fuzz fuzzes nothing. Every target runs; the script exits 1
 # naming the first one that failed.
 set -u
-# name package, one target a line
-targets="
-FuzzBuildGraph ./internal/kernels/
-FuzzReadMatrixMarket ./internal/kernels/
-FuzzLifeRun ./internal/kernels/
-FuzzReadChromeTrace ./internal/obs/
-FuzzParseOpenMetrics ./internal/telemetry/
-FuzzParseGoBench ./internal/benchgate/
-FuzzParseObjective ./internal/flight/
-FuzzParseSSEFrame ./internal/serviced/
-FuzzHandleJobs ./internal/serviced/
-FuzzLoadCache ./internal/tune/
-"
 summary=${GITHUB_STEP_SUMMARY:-/dev/null}
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 trap 'exit 130' INT TERM
+
+# One "name package" pair per target: go test -list prints a package's
+# matching names, then its "ok <package>" line.
+if ! go test -list '^Fuzz' ./... >"$log" 2>&1; then
+	cat "$log"
+	echo "fuzz: listing the fuzz targets failed" >&2
+	exit 1
+fi
+targets=$(awk '/^Fuzz/ { names = names " " $1 }
+	/^ok/ { n = split(names, a, " "); for (i = 1; i <= n; i++) print a[i], $2; names = "" }' "$log")
+if [ -z "$targets" ]; then
+	echo "fuzz: go test -list found no fuzz targets" >&2
+	exit 1
+fi
 
 {
 	echo "### Fuzzing, 10s per target, -parallel 2, -fuzzminimizetime 1s"
