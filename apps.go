@@ -127,40 +127,53 @@ func buildSpMV(n, workers int) *Application {
 	}
 }
 
+// buildStencil's application keeps only its workspace's two grids. The
+// first is the input grid itself: every run writes the hot-boundary
+// condition into it and sweeps from there, so no third grid is ever
+// allocated. Each application instance owns its workspace, so instances
+// may run concurrently.
 func buildStencil(n, workers int) *Application {
-	g := kernels.HotBoundaryGrid(n)
+	in := kernels.HotBoundaryGrid(n)
+	ws := kernels.NewStencilWorkspace(in)
 	const sweeps = 8
+	run := func(w int) {
+		kernels.SetHotBoundary(in)
+		ws.Run(in, sweeps, w)
+	}
 	return &Application{
 		Name:  fmt.Sprintf("stencil-n%d", n),
 		FLOPs: kernels.StencilFLOPs(n, sweeps),
 		Bytes: kernels.StencilBytes(n) * sweeps,
 		Baseline: Variant{Name: "sequential", Run: func() {
-			kernels.StencilRun(g, sweeps, 1)
+			run(1)
 		}},
 		Candidates: []Variant{
 			{Name: "parallel", Procs: workers, Run: func() {
-				kernels.StencilRun(g, sweeps, workers)
+				run(workers)
 			}},
 		},
 	}
 }
 
+// buildGameOfLife's variants all step from the same board, which they
+// only read, through the instance's own workspace.
 func buildGameOfLife(n, workers int) *Application {
 	b := kernels.RandomLife(n, n, 0.3, 11)
+	ws := kernels.NewLifeWorkspace(n, n)
 	const gens = 8
 	return &Application{
 		Name:  fmt.Sprintf("gameoflife-n%d", n),
 		FLOPs: 0,
 		Bytes: float64(n) * float64(n) * 2 * gens,
 		Baseline: Variant{Name: "sequential-modulo", Run: func() {
-			b.Run(gens, 1)
+			ws.Run(b, gens, 1)
 		}},
 		Candidates: []Variant{
 			{Name: "sequential-padded", Run: func() {
-				b.RunPadded(gens)
+				ws.RunPadded(b, gens)
 			}},
 			{Name: "parallel", Procs: workers, Run: func() {
-				b.Run(gens, workers)
+				ws.Run(b, gens, workers)
 			}},
 		},
 	}

@@ -101,55 +101,123 @@ func (b *Life) Step(dst *Life) {
 	src, out, w := b.Cells, dst.Cells, b.W
 	for y := 0; y < b.H; y++ {
 		for x := 0; x < w; x++ {
-			n := b.neighbours(x, y)
-			alive := src[y*w+x] == 1
-			if alive && (n == 2 || n == 3) || !alive && n == 3 {
-				out[y*w+x] = 1
-			} else {
-				out[y*w+x] = 0
-			}
+			out[y*w+x] = lifeRule(uint8(b.neighbours(x, y)), src[y*w+x])
 		}
 	}
 }
 
-// StepParallel computes one generation into dst like StepPadded, with
+// lifeRule returns a cell's next state from its live-neighbour count n
+// and its state alive (0 or 1): it lives iff n == 3, or n == 2 and it is
+// alive, which is n|alive == 3. The comparison compiles to a flag set, not
+// a branch, so a step costs the same whatever the board's density.
+func lifeRule(n, alive uint8) uint8 {
+	if n|alive == 3 {
+		return 1
+	}
+	return 0
+}
+
+// StepParallel computes one generation into dst with the padded stepper,
 // the rows split over the shared scheduler: the torus halo is filled into
 // a padded scratch once, then row bands are computed from it in parallel.
 // workers > 0 pins that many static row bands; workers <= 0 uses the
 // pool's dynamic stealing policy (see parFor). Each call allocates its own
-// pad; Run reuses one across generations.
+// pad; a LifeWorkspace reuses one across generations and calls.
 func (b *Life) StepParallel(dst *Life, workers int) {
 	pad := make([]uint8, b.padLen())
 	b.fillPad(pad)
 	parFor(b.H, workers, func(lo, hi int) { padRows(pad, dst, lo, hi) })
 }
 
-// Run advances the board g generations and returns the final board.
-// Generations ping-pong between b and one new board, so b is overwritten
-// when generations >= 2 (and is itself the result when generations is
-// even). workers == 1 runs the modulo stepper, Step, which is the course's
-// sequential baseline. Any other value runs the padded stepper in parallel
-// as StepParallel does, with one pad shared by every generation:
-// workers > 0 pins that many row bands and workers <= 0 (0 = GOMAXPROCS)
-// uses the dynamic pool.
+// Run advances the board generations generations and returns the final
+// board (b itself when generations <= 0); b is never modified. It builds
+// one LifeWorkspace and runs it from b, so callers that run one board
+// shape repeatedly keep a LifeWorkspace instead. workers == 1 runs the
+// modulo stepper, Step, which is the course's sequential baseline. Any
+// other value runs the padded stepper in parallel as StepParallel does,
+// with one pad shared by every generation: workers > 0 pins that many row
+// bands and workers <= 0 (0 = GOMAXPROCS) uses the dynamic pool.
 func (b *Life) Run(generations, workers int) *Life {
-	src, dst := b, NewLife(b.W, b.H)
-	if workers == 1 {
-		for g := 0; g < generations; g++ {
-			src.Step(dst)
-			src, dst = dst, src
-		}
-		return src
+	return NewLifeWorkspace(b.W, b.H).Run(b, generations, workers)
+}
+
+// RunPadded advances the board like Run(generations, 1), but with the
+// padded stepper instead of per-neighbour modulo arithmetic: the classic
+// "hoist the wraparound out of the inner loop" step of the Game-of-Life
+// project ladder. b itself is never modified; like Run, it builds one
+// LifeWorkspace per call.
+func (b *Life) RunPadded(generations int) *Life {
+	return NewLifeWorkspace(b.W, b.H).RunPadded(b, generations)
+}
+
+// LifeWorkspace holds the two boards and the pad that Run and RunPadded
+// step between, so repeated runs on one board shape allocate nothing and
+// never write to their input. A workspace is not safe for concurrent use.
+type LifeWorkspace struct {
+	boards [2]Life
+	pad    []uint8          // built on the first padded generation
+	dst    *Life            // the parallel generation in flight, read by rows
+	rows   func(lo, hi int) // built on the first parallel generation
+}
+
+// NewLifeWorkspace returns a workspace for w x h boards. It panics on
+// non-positive sizes.
+func NewLifeWorkspace(w, h int) *LifeWorkspace {
+	ws := &LifeWorkspace{}
+	for i := range ws.boards {
+		ws.boards[i] = *NewLife(w, h)
 	}
-	pad := make([]uint8, b.padLen())
-	// rows reads dst when it runs, so one closure serves every generation.
-	rows := func(lo, hi int) { padRows(pad, dst, lo, hi) }
-	for g := 0; g < generations; g++ {
+	return ws
+}
+
+// Run advances b generations generations and returns the final board:
+// b itself when generations <= 0, otherwise one of the workspace's
+// boards, valid until the next run. b is only read, unless it is one of
+// the workspace's own boards. workers has Life.Run's meaning.
+func (ws *LifeWorkspace) Run(b *Life, generations, workers int) *Life {
+	if workers == 1 {
+		return ws.run(b, generations, (*Life).Step)
+	}
+	if ws.rows == nil {
+		ws.rows = func(lo, hi int) { padRows(ws.pad, ws.dst, lo, hi) }
+	}
+	return ws.run(b, generations, func(src, dst *Life) {
+		src.fillPad(ws.padFor(src))
+		ws.dst = dst
+		parFor(src.H, workers, ws.rows)
+	})
+}
+
+// RunPadded is Run with the sequential padded stepper.
+func (ws *LifeWorkspace) RunPadded(b *Life, generations int) *Life {
+	return ws.run(b, generations, func(src, dst *Life) {
+		pad := ws.padFor(src)
 		src.fillPad(pad)
-		parFor(b.H, workers, rows)
-		src, dst = dst, src
+		padRows(pad, dst, 0, src.H)
+	})
+}
+
+// run ping-pongs generations of step between the workspace's boards,
+// starting from b.
+func (ws *LifeWorkspace) run(b *Life, generations int, step func(src, dst *Life)) *Life {
+	dst, spare := &ws.boards[0], &ws.boards[1]
+	if b == dst {
+		dst, spare = spare, dst
+	}
+	src := b
+	for g := 0; g < generations; g++ {
+		step(src, dst)
+		src, dst, spare = dst, spare, dst
 	}
 	return src
+}
+
+// padFor returns the workspace's pad for boards shaped like b.
+func (ws *LifeWorkspace) padFor(b *Life) []uint8 {
+	if ws.pad == nil {
+		ws.pad = make([]uint8, b.padLen())
+	}
+	return ws.pad
 }
 
 // Glider stamps the classic glider pattern at (x, y).
@@ -158,22 +226,6 @@ func (b *Life) Glider(x, y int) {
 	for _, c := range coords {
 		b.Set((x+c[0])%b.W, (y+c[1])%b.H, 1)
 	}
-}
-
-// StepPadded computes one generation using a padded scratch board instead
-// of per-neighbour modulo arithmetic — the classic "hoist the wraparound
-// out of the inner loop" optimization step in the Game-of-Life project
-// ladder. Semantically identical to Step. scratch is reused when it is
-// large enough; the pad actually used is returned for the next call.
-func (b *Life) StepPadded(dst *Life, scratch []uint8) []uint8 {
-	need := b.padLen()
-	if cap(scratch) < need {
-		scratch = make([]uint8, need)
-	}
-	pad := scratch[:need]
-	b.fillPad(pad)
-	padRows(pad, dst, 0, b.H)
-	return pad
 }
 
 // padLen is the size of the (W+2) x (H+2) pad that fillPad fills.
@@ -204,38 +256,18 @@ func padRows(pad []uint8, dst *Life, lo, hi int) {
 	w := dst.W
 	pw := w + 2
 	for y := lo; y < hi; y++ {
-		up := pad[y*pw : (y+1)*pw]
-		mid := pad[(y+1)*pw : (y+2)*pw]
-		down := pad[(y+2)*pw : (y+3)*pw]
-		out := dst.Cells[y*w : (y+1)*w]
-		// Tell the prover the rows cover x+2 and out covers x, so the
-		// inner loop runs without bounds checks (-d=ssa/check_bce).
-		_ = up[w+1]
-		_ = mid[w+1]
-		_ = down[w+1]
-		_ = out[w-1]
-		for x := 0; x < w; x++ {
-			n := int(up[x]) + int(up[x+1]) + int(up[x+2]) +
-				int(mid[x]) + int(mid[x+2]) +
-				int(down[x]) + int(down[x+1]) + int(down[x+2])
-			alive := mid[x+1] == 1
-			if alive && (n == 2 || n == 3) || !alive && n == 3 {
-				out[x] = 1
-			} else {
-				out[x] = 0
-			}
+		// Nine views of the pad, each exactly w cells long: row u, m or d
+		// (above, level, below) shifted by 0, 1 or 2 columns, so that
+		// cell x's neighbourhood is column x of each. Equal fixed lengths
+		// let the inner loop run without bounds checks
+		// (-d=ssa/check_bce).
+		out := dst.Cells[y*w:][:w]
+		u0, u1, u2 := pad[y*pw:][:w], pad[y*pw+1:][:w], pad[y*pw+2:][:w]
+		m0, m1, m2 := pad[(y+1)*pw:][:w], pad[(y+1)*pw+1:][:w], pad[(y+1)*pw+2:][:w]
+		d0, d1, d2 := pad[(y+2)*pw:][:w], pad[(y+2)*pw+1:][:w], pad[(y+2)*pw+2:][:w]
+		for x := range out {
+			n := u0[x] + u1[x] + u2[x] + m0[x] + m2[x] + d0[x] + d1[x] + d2[x]
+			out[x] = lifeRule(n, m1[x])
 		}
 	}
-}
-
-// RunPadded advances the board like Run but with the padded stepper.
-func (b *Life) RunPadded(generations int) *Life {
-	src := b
-	dst := NewLife(b.W, b.H)
-	var scratch []uint8
-	for g := 0; g < generations; g++ {
-		scratch = src.StepPadded(dst, scratch)
-		src, dst = dst, src
-	}
-	return src
 }

@@ -22,7 +22,7 @@ func TestLifeBlinkerOscillates(t *testing.T) {
 	if one.Population() != 3 {
 		t.Fatalf("population = %d", one.Population())
 	}
-	two := cloneLife(b).Run(2, 1)
+	two := b.Run(2, 1)
 	if !two.Equal(b) {
 		t.Fatalf("blinker must have period 2:\n%s", two)
 	}
@@ -62,21 +62,11 @@ func TestLifeToroidalWraparound(t *testing.T) {
 	}
 }
 
-// cloneLife copies a board. Run and RunPadded use their receiver as the
-// second ping-pong buffer, so every comparison below starts each path
-// from its own copy; comparing b.Run(g, 1) with b.Run(g, w) directly
-// would compare b with itself for even g.
-func cloneLife(b *Life) *Life {
-	c := NewLife(b.W, b.H)
-	copy(c.Cells, b.Cells)
-	return c
-}
-
 func TestLifeParallelMatchesSequential(t *testing.T) {
 	b := RandomLife(40, 31, 0.35, 17)
-	seq := cloneLife(b).Run(8, 1)
+	seq := b.Run(8, 1)
 	for _, w := range []int{2, 3, 8, 64} {
-		par := cloneLife(b).Run(8, w)
+		par := b.Run(8, w)
 		if !seq.Equal(par) {
 			t.Fatalf("workers=%d diverged", w)
 		}
@@ -121,8 +111,8 @@ func TestQuickLifeInvariants(t *testing.T) {
 func TestStepPaddedMatchesStep(t *testing.T) {
 	for _, dims := range [][2]int{{5, 5}, {16, 9}, {33, 40}, {2, 2}} {
 		b := RandomLife(dims[0], dims[1], 0.4, int64(dims[0]))
-		want := cloneLife(b).Run(6, 1)
-		got := cloneLife(b).RunPadded(6)
+		want := b.Run(6, 1)
+		got := b.RunPadded(6)
 		if !want.Equal(got) {
 			t.Fatalf("%dx%d: padded stepper diverged", dims[0], dims[1])
 		}
@@ -130,7 +120,7 @@ func TestStepPaddedMatchesStep(t *testing.T) {
 	// Glider (exercises all four torus edges on a small board).
 	g := NewLife(6, 6)
 	g.Glider(3, 3)
-	if !cloneLife(g).Run(24, 1).Equal(cloneLife(g).RunPadded(24)) {
+	if !g.Run(24, 1).Equal(g.RunPadded(24)) {
 		t.Fatal("glider wraparound diverged")
 	}
 }
@@ -142,15 +132,15 @@ func TestLifeParallelEdgeShapes(t *testing.T) {
 	for _, dims := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {7, 3}, {3, 7}, {40, 31}} {
 		b := RandomLife(dims[0], dims[1], 0.45, int64(dims[0]*100+dims[1]))
 		for _, gens := range []int{1, 2, 5} {
-			want := cloneLife(b).Run(gens, 1)
+			want := b.Run(gens, 1)
 			for _, w := range []int{0, -1, 2, 3, 64} {
-				if got := cloneLife(b).Run(gens, w); !got.Equal(want) {
+				if got := b.Run(gens, w); !got.Equal(want) {
 					t.Errorf("%dx%d gens=%d workers=%d: Run diverged from Run(gens, 1)\ngot:\n%swant:\n%s",
 						dims[0], dims[1], gens, w, got, want)
 				}
 			}
 		}
-		want := cloneLife(b).Run(1, 1)
+		want := b.Run(1, 1)
 		for _, w := range []int{0, -1, 2, 3, 64} {
 			got := NewLife(b.W, b.H)
 			b.StepParallel(got, w)
@@ -173,11 +163,11 @@ func TestLifeGliderWrapsTorus(t *testing.T) {
 		want := NewLife(w, h)
 		want.Glider((5+k)%w, (2+k)%h)
 		for _, workers := range []int{1, 0, 2, 3} {
-			if got := cloneLife(b).Run(4*k, workers); !got.Equal(want) {
+			if got := b.Run(4*k, workers); !got.Equal(want) {
 				t.Errorf("k=%d workers=%d: glider at the wrong place:\n%swant:\n%s", k, workers, got, want)
 			}
 		}
-		if got := cloneLife(b).RunPadded(4 * k); !got.Equal(want) {
+		if got := b.RunPadded(4 * k); !got.Equal(want) {
 			t.Errorf("k=%d: padded glider at the wrong place:\n%swant:\n%s", k, got, want)
 		}
 	}
@@ -208,8 +198,9 @@ func TestLifeRunDefaultWorkersIsParallel(t *testing.T) {
 var lifeSink *Life
 
 // TestLifeRunAllocs pins the parallel Run to a fixed number of
-// allocations whatever the generation count: the result board, one pad
-// and one row closure per call, never a pad or a closure per generation.
+// allocations whatever the generation count: one workspace (its two
+// boards, one pad and one row closure) per call, never a pad or a closure
+// per generation.
 func TestLifeRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop sched's job records at random")
@@ -220,6 +211,113 @@ func TestLifeRunAllocs(t *testing.T) {
 		many := allocsPerRun(func() { lifeSink = b.Run(16, w) })
 		if few != many {
 			t.Errorf("workers=%d: Run allocates %v times for 2 generations, %v for 16", w, few, many)
+		}
+	}
+}
+
+// lifeSteps is the oracle for the workspace tests: generations of Step
+// between two fresh boards, starting from a copy of b.
+func lifeSteps(b *Life, generations int) *Life {
+	src, dst := NewLife(b.W, b.H), NewLife(b.W, b.H)
+	copy(src.Cells, b.Cells)
+	for g := 0; g < generations; g++ {
+		src.Step(dst)
+		src, dst = dst, src
+	}
+	return src
+}
+
+// TestLifeWorkspaceMatchesOracle runs every path of one LifeWorkspace
+// many times over, from an outside board and from one of its own, and
+// checks each result against the Step oracle and the Run and RunPadded
+// wrappers, which build a fresh workspace per call.
+func TestLifeWorkspaceMatchesOracle(t *testing.T) {
+	b := RandomLife(37, 23, 0.35, 3)
+	orig := lifeSteps(b, 0)
+	ws := NewLifeWorkspace(b.W, b.H)
+	for round := 0; round < 4; round++ {
+		for _, gens := range []int{0, 1, 2, 7, 8} {
+			want := lifeSteps(b, gens)
+			for _, w := range []int{1, 2, 0} {
+				if got := ws.Run(b, gens, w); !got.Equal(want) {
+					t.Fatalf("round %d gens=%d workers=%d: workspace Run diverged from Step", round, gens, w)
+				}
+				if got := b.Run(gens, w); !got.Equal(want) {
+					t.Fatalf("gens=%d workers=%d: Life.Run diverged from Step", gens, w)
+				}
+			}
+			if got := ws.RunPadded(b, gens); !got.Equal(want) {
+				t.Fatalf("round %d gens=%d: workspace RunPadded diverged from Step", round, gens)
+			}
+			if got := b.RunPadded(gens); !got.Equal(want) {
+				t.Fatalf("gens=%d: Life.RunPadded diverged from Step", gens)
+			}
+			// Continue from the workspace's own board: the result of one
+			// run may be the input of the next.
+			mid := ws.Run(b, 3, 2)
+			if got := ws.Run(mid, gens, 2); !got.Equal(lifeSteps(b, 3+gens)) {
+				t.Fatalf("round %d gens=%d: run from the workspace's own board diverged", round, gens)
+			}
+		}
+	}
+	if !b.Equal(orig) {
+		t.Fatal("workspace runs modified their input board")
+	}
+}
+
+// TestLifeRunLeavesReceiver: Run and RunPadded only read their receiver,
+// so every variant of one engagement steps from the same board.
+func TestLifeRunLeavesReceiver(t *testing.T) {
+	b := RandomLife(24, 17, 0.4, 8)
+	orig := lifeSteps(b, 0)
+	for _, gens := range []int{1, 2, 3, 8} {
+		for _, w := range []int{1, 2, 0} {
+			if got := b.Run(gens, w); got == b {
+				t.Fatalf("gens=%d workers=%d: Run returned its receiver", gens, w)
+			}
+			if !b.Equal(orig) {
+				t.Fatalf("gens=%d workers=%d: Run modified its receiver", gens, w)
+			}
+		}
+		if got := b.RunPadded(gens); got == b || !b.Equal(orig) {
+			t.Fatalf("gens=%d: RunPadded returned or modified its receiver", gens)
+		}
+	}
+}
+
+// TestLifeRuleMatchesBranchyRule checks the branch-free rule against the
+// rule as the course states it, on every (neighbours, alive) pair.
+func TestLifeRuleMatchesBranchyRule(t *testing.T) {
+	for n := uint8(0); n <= 8; n++ {
+		for alive := uint8(0); alive <= 1; alive++ {
+			want := uint8(0)
+			if alive == 1 && (n == 2 || n == 3) || alive == 0 && n == 3 {
+				want = 1
+			}
+			if got := lifeRule(n, alive); got != want {
+				t.Errorf("lifeRule(%d, %d) = %d, want %d", n, alive, got, want)
+			}
+		}
+	}
+}
+
+// TestLifeWorkspaceAllocs pins a warm workspace's runs to zero
+// allocations on every path.
+func TestLifeWorkspaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop sched's job records at random")
+	}
+	b := RandomLife(64, 48, 0.3, 9)
+	ws := NewLifeWorkspace(b.W, b.H)
+	for _, run := range []func(){
+		func() { lifeSink = ws.Run(b, 8, 1) },
+		func() { lifeSink = ws.RunPadded(b, 8) },
+		func() { lifeSink = ws.Run(b, 8, 2) },
+		func() { lifeSink = ws.Run(b, 8, 0) },
+	} {
+		run() // builds the pad and the row closure, warms sched's pools
+		if a := allocsPerRun(run); a != 0 {
+			t.Errorf("warm workspace run allocates %v times", a)
 		}
 	}
 }
@@ -242,11 +340,11 @@ func FuzzLifeRun(f *testing.F) {
 			seed = seed*131 + int64(c)
 		}
 		b := RandomLife(w, h, density, seed)
-		want := cloneLife(b).Run(gens, 1)
-		if got := cloneLife(b).Run(gens, workers); !got.Equal(want) {
+		want := b.Run(gens, 1)
+		if got := b.Run(gens, workers); !got.Equal(want) {
 			t.Fatalf("%dx%d gens=%d workers=%d: Run diverged from Run(gens, 1)\ngot:\n%swant:\n%s", w, h, gens, workers, got, want)
 		}
-		if got := cloneLife(b).RunPadded(gens); !got.Equal(want) {
+		if got := b.RunPadded(gens); !got.Equal(want) {
 			t.Fatalf("%dx%d gens=%d: RunPadded diverged from Run(gens, 1)\ngot:\n%swant:\n%s", w, h, gens, got, want)
 		}
 	})

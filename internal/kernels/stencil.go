@@ -62,10 +62,16 @@ func (g *Grid2D) MaxAbsDiff(o *Grid2D) float64 {
 // 0 — the classic heat-diffusion initial condition.
 func HotBoundaryGrid(n int) *Grid2D {
 	g := NewGrid2D(n)
-	for j := 0; j < n+2; j++ {
+	SetHotBoundary(g)
+	return g
+}
+
+// SetHotBoundary overwrites g with HotBoundaryGrid's initial condition.
+func SetHotBoundary(g *Grid2D) {
+	clear(g.Data)
+	for j := 0; j < g.N+2; j++ {
 		g.Set(0, j, 1)
 	}
-	return g
 }
 
 // StencilFLOPs returns the work of sweeps Jacobi sweeps on an n x n
@@ -83,41 +89,96 @@ func StencilBytes(n int) float64 {
 
 // StencilSweep performs one Jacobi sweep dst <- avg4(src) over the interior.
 // dst and src must be distinct grids of the same size.
-func StencilSweep(src, dst *Grid2D) {
-	n, w := src.N, src.N+2
-	for i := 1; i <= n; i++ {
-		up := src.Data[(i-1)*w:]
-		mid := src.Data[i*w:]
-		down := src.Data[(i+1)*w:]
-		out := dst.Data[i*w:]
-		for j := 1; j <= n; j++ {
-			out[j] = 0.25 * (up[j] + down[j] + mid[j-1] + mid[j+1])
-		}
-	}
-}
+func StencilSweep(src, dst *Grid2D) { stencilRows(src, dst, 1, src.N+1) }
 
 // StencilSweepParallel performs one Jacobi sweep with interior row bands
 // split over the shared scheduler.
 func StencilSweepParallel(src, dst *Grid2D, workers int) {
-	n, w := src.N, src.N+2
-	parForTuned(tune.KernelStencil, n, workers, func(lo, hi int) {
-		for i := lo + 1; i <= hi; i++ { // interior rows are 1..n
-			up := src.Data[(i-1)*w:]
-			mid := src.Data[i*w:]
-			down := src.Data[(i+1)*w:]
-			out := dst.Data[i*w:]
-			for j := 1; j <= n; j++ {
-				out[j] = 0.25 * (up[j] + down[j] + mid[j-1] + mid[j+1])
-			}
-		}
+	parForTuned(tune.KernelStencil, src.N, workers, func(lo, hi int) {
+		stencilRows(src, dst, lo+1, hi+1) // interior rows are 1..n
 	})
 }
 
+// stencilRows updates interior rows [lo, hi) of dst from src, the one
+// loop body every sweep runs. Disjoint row ranges may run concurrently.
+func stencilRows(src, dst *Grid2D, lo, hi int) {
+	n, w := src.N, src.N+2
+	for i := lo; i < hi; i++ {
+		// Every operand is resliced to exactly the n interior cells of
+		// its row, so the inner loop runs without bounds checks
+		// (-d=ssa/check_bce). left and right are mid shifted by one.
+		out := dst.Data[i*w+1:][:n]
+		up := src.Data[(i-1)*w+1:][:n]
+		down := src.Data[(i+1)*w+1:][:n]
+		left := src.Data[i*w:][:n]
+		right := src.Data[i*w+2:][:n]
+		for j := range out {
+			out[j] = 0.25 * (up[j] + down[j] + left[j] + right[j])
+		}
+	}
+}
+
+// StencilWorkspace holds the two grids a Jacobi run ping-pongs between,
+// so repeated runs on one grid shape allocate nothing. A sweep overwrites
+// only the interior, so the second grid gets the halo ring once, when the
+// workspace is built. A workspace is not safe for concurrent use.
+type StencilWorkspace struct {
+	in       *Grid2D          // the first grid, adopted from the caller
+	spare    Grid2D           // the second grid
+	src, dst *Grid2D          // the parallel sweep in flight, read by rows
+	rows     func(lo, hi int) // built on the first parallel sweep
+}
+
+// NewStencilWorkspace returns a workspace that adopts g as its first grid
+// and allocates a second grid carrying g's halo ring. A caller may write
+// an initial condition into g's interior and run from g, which keeps no
+// grid beside the workspace's two; such runs overwrite g, so a caller
+// that needs g unchanged adopts a copy instead, as StencilRun does.
+func NewStencilWorkspace(g *Grid2D) *StencilWorkspace {
+	ws := &StencilWorkspace{in: g, spare: *NewGrid2D(g.N)}
+	copyHalo(&ws.spare, g)
+	return ws
+}
+
+// Run performs sweeps Jacobi sweeps from g and returns the grid holding
+// the final iterate: g itself when sweeps <= 0, otherwise one of the
+// workspace's grids, valid until the next Run. g is either a grid outside
+// the workspace, which is only read, or one of the workspace's own (the
+// adopted grid or a previous result), which the sweeps may overwrite. g's halo ring must be the
+// workspace's. workers has StencilRun's meaning.
+func (ws *StencilWorkspace) Run(g *Grid2D, sweeps, workers int) *Grid2D {
+	dst, spare := ws.in, &ws.spare
+	if g == dst {
+		dst, spare = spare, dst
+	}
+	src := g
+	for s := 0; s < sweeps; s++ {
+		ws.sweep(src, dst, workers)
+		src, dst, spare = dst, spare, dst
+	}
+	return src
+}
+
+// sweep runs one sweep src -> dst, in parallel through the workspace's
+// one row closure unless workers == 1.
+func (ws *StencilWorkspace) sweep(src, dst *Grid2D, workers int) {
+	if workers == 1 {
+		stencilRows(src, dst, 1, src.N+1)
+		return
+	}
+	ws.src, ws.dst = src, dst
+	if ws.rows == nil {
+		ws.rows = func(lo, hi int) { stencilRows(ws.src, ws.dst, lo+1, hi+1) }
+	}
+	parForTuned(tune.KernelStencil, src.N, workers, ws.rows)
+}
+
 // StencilRun performs sweeps Jacobi sweeps and returns the grid holding
-// the final iterate. g itself is never modified. A sweep overwrites every
-// interior cell, so the two scratch grids it ping-pongs between get only
-// g's halo ring copied in, and the first sweep reads g directly; the
-// result is bit-identical to sweeping from two full clones of g. sweeps
+// the final iterate. g itself is never modified. It builds one
+// StencilWorkspace of two scratch grids that get only g's halo ring
+// copied in, and runs it from g, so the first sweep reads g directly; the
+// result is bit-identical to sweeping from two full clones of g. Callers
+// that run one shape repeatedly keep a StencilWorkspace instead. sweeps
 // <= 0 returns a clone. workers == 1 runs sequentially; any other value
 // is the usual decomposition knob (0 = dynamic pool, possibly tuned, like
 // every other parallel kernel here).
@@ -125,19 +186,9 @@ func StencilRun(g *Grid2D, sweeps, workers int) *Grid2D {
 	if sweeps <= 0 {
 		return g.Clone()
 	}
-	dst, spare := NewGrid2D(g.N), NewGrid2D(g.N)
-	copyHalo(dst, g)
-	copyHalo(spare, g)
-	src := g
-	for s := 0; s < sweeps; s++ {
-		if workers == 1 {
-			StencilSweep(src, dst)
-		} else {
-			StencilSweepParallel(src, dst, workers)
-		}
-		src, dst, spare = dst, spare, dst
-	}
-	return src
+	in := NewGrid2D(g.N)
+	copyHalo(in, g)
+	return NewStencilWorkspace(in).Run(g, sweeps, workers)
 }
 
 // copyHalo copies src's one-cell boundary ring into dst, a grid of the

@@ -200,15 +200,69 @@ func TestStencilRunMatchesCloneOracle(t *testing.T) {
 
 var gridSink *Grid2D
 
-// TestStencilRunAllocs pins StencilRun's allocations to the two scratch
-// grids whatever the sweep count, so a per-call or per-sweep full-grid
-// clone cannot come back. Measured sequentially: the parallel sweep
-// allocates its row closure once per sweep.
+// TestStencilRunAllocs pins StencilRun's allocations to one workspace
+// (its two scratch grids) whatever the sweep count, so a per-call or
+// per-sweep full-grid clone cannot come back.
 func TestStencilRunAllocs(t *testing.T) {
 	g := HotBoundaryGrid(64)
 	one := allocsPerRun(func() { gridSink = StencilRun(g, 1, 1) })
 	many := allocsPerRun(func() { gridSink = StencilRun(g, 16, 1) })
 	if one != many {
 		t.Errorf("StencilRun allocates %v times for 1 sweep, %v for 16", one, many)
+	}
+}
+
+// TestStencilWorkspaceMatchesOracle reuses one workspace many times over,
+// from an outside grid and from the grid it adopted, and checks every
+// result bit for bit against the clone oracle and the StencilRun wrapper.
+func TestStencilWorkspaceMatchesOracle(t *testing.T) {
+	const n = 21
+	g := NewGrid2D(n)
+	rngFill(g, 5)
+	orig := g.Clone()
+	in := g.Clone()
+	ws := NewStencilWorkspace(in)
+	same := func(a, b *Grid2D) bool { return a.MaxAbsDiff(b) == 0 }
+	for round := 0; round < 4; round++ {
+		for _, sweeps := range []int{0, 1, 2, 7, 8} {
+			for _, w := range []int{1, 2, 0} {
+				want := stencilRunClones(g, sweeps, w)
+				if got := ws.Run(g, sweeps, w); !same(got, want) {
+					t.Fatalf("round %d sweeps=%d workers=%d: workspace run from g diverged", round, sweeps, w)
+				}
+				if got := StencilRun(g, sweeps, w); !same(got, want) {
+					t.Fatalf("sweeps=%d workers=%d: StencilRun diverged", sweeps, w)
+				}
+				copy(in.Data, g.Data)
+				if got := ws.Run(in, sweeps, w); !same(got, want) {
+					t.Fatalf("round %d sweeps=%d workers=%d: workspace run from its adopted grid diverged", round, sweeps, w)
+				}
+				// A result may be the input of the next run.
+				mid := ws.Run(g, 3, w)
+				if got := ws.Run(mid, sweeps, w); !same(got, stencilRunClones(g, 3+sweeps, w)) {
+					t.Fatalf("round %d sweeps=%d workers=%d: run from a result diverged", round, sweeps, w)
+				}
+			}
+		}
+	}
+	if !same(g, orig) {
+		t.Fatal("workspace runs modified their outside input")
+	}
+}
+
+// TestStencilWorkspaceAllocs pins a warm workspace's runs to zero
+// allocations, sequential and parallel.
+func TestStencilWorkspaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop sched's job records at random")
+	}
+	g := HotBoundaryGrid(64)
+	ws := NewStencilWorkspace(HotBoundaryGrid(64))
+	for _, w := range []int{1, 2, 0} {
+		run := func() { gridSink = ws.Run(g, 8, w) }
+		run() // builds the row closure, warms sched's pools
+		if a := allocsPerRun(run); a != 0 {
+			t.Errorf("workers=%d: warm workspace run allocates %v times", w, a)
+		}
 	}
 }
