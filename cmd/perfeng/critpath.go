@@ -64,10 +64,7 @@ func runCritpath(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		ws, err := newWiredSession("perfeng critpath " + app.Name)
-		if err != nil {
-			fatal(err)
-		}
+		ws := newWiredSession("perfeng critpath "+app.Name, nil)
 		if err := runWorkload(ws, app, *ranks, *n); err != nil {
 			fatal(err)
 		}

@@ -152,10 +152,7 @@ func newRunStack(cfg stackConfig) (*runStack, error) {
 // iteration latency links straight to the slowest iteration's interval
 // in the black box.
 func (st *runStack) iterate(name string, app *perfeng.Application, ranks, n int) (time.Duration, error) {
-	ws, err := newWiredSession(name)
-	if err != nil {
-		return 0, err
-	}
+	ws := newWiredSession(name, st.collector)
 	// Swap the fresh session in before running, so scrapes and trace
 	// downloads during the iteration see live data. The previous
 	// session's sched sinks stayed attached until now, so parallel work

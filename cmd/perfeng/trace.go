@@ -41,10 +41,7 @@ func runTrace(args []string) {
 		fatal(err)
 	}
 
-	ws, err := newWiredSession("perfeng trace " + app.Name)
-	if err != nil {
-		fatal(err)
-	}
+	ws := newWiredSession("perfeng trace "+app.Name, nil)
 
 	// SIGINT flush: an interrupted run still writes a valid (partial)
 	// trace before exiting. Session exports take the session lock, so

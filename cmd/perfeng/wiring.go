@@ -11,7 +11,6 @@ import (
 
 	"perfeng"
 	"perfeng/internal/cluster"
-	"perfeng/internal/counters"
 	"perfeng/internal/flight"
 	"perfeng/internal/gpu"
 	"perfeng/internal/machine"
@@ -21,49 +20,44 @@ import (
 	"perfeng/internal/queuing"
 	"perfeng/internal/sched"
 	"perfeng/internal/simulator"
+	"perfeng/internal/telemetry"
 )
 
 // wiredSession is an obs session with the standard instrumentation
-// attached: runtime counters sampled at every span boundary, a host
-// profiler mirrored onto the "host" track, and the default sched
-// pool's tasks on per-executor tracks.
+// attached: a runtime reading at every span boundary, a host profiler
+// mirrored onto the "host" track, and the default sched pool's tasks on
+// per-executor tracks.
 type wiredSession struct {
 	session *obs.Session
 	prof    *profile.Profiler
-	sampler *obs.CounterSampler
 	// detachSched removes the session's sinks from the default sched
 	// pool, the one producer that outlives the session.
 	detachSched func()
 }
 
-// newWiredSession builds the instrumented session both subcommands use.
-func newWiredSession(name string) (*wiredSession, error) {
+// newWiredSession builds the instrumented session every subcommand
+// uses. Runtime readings come from collector c, whose Samples sinks
+// must already reach the session (serve and flight route their stack's
+// collector through an obs.SessionSink). With c nil, as in trace and
+// critpath, the session gets its own collector over a nil registry:
+// never started, read only at span exits.
+func newWiredSession(name string, c *telemetry.Collector) *wiredSession {
 	session := obs.NewSession(name)
-
-	// Runtime counters, sampled at every span boundary so allocation and
-	// GC inflections line up with the spans that caused them.
-	set := counters.NewEventSet(counters.RuntimeBackend{})
-	if err := set.Add(counters.Allocs, counters.AllocBytes,
-		counters.GCCycles, counters.Goroutines); err != nil {
-		return nil, err
-	}
-	sampler, err := obs.NewCounterSampler(session, "runtime/", set)
-	if err != nil {
-		return nil, err
+	if c == nil {
+		c = telemetry.NewCollector(nil, 0)
+		c.Samples.Attach(obs.NewSessionSink(session).Sample)
 	}
 
 	// Host profiler: regions mirror onto the "host" track (session and
-	// flight ring both, when the black box is enabled) and trigger a
-	// counter sample on every exit. With flight off, flight's sink is
-	// nil and attaches nothing.
+	// flight ring both, when the black box is enabled) and take a
+	// runtime reading on every exit, so allocation and GC inflections
+	// line up with the spans that caused them. With flight off,
+	// flight's sink is nil and attaches nothing.
 	rec := flight.Active()
 	prof := profile.New()
 	prof.Spans.Attach(obs.ProfileSink(session.Track("host")))
 	prof.Spans.Attach(flight.ProfileSink(rec, "host"))
-	prof.Spans.Attach(func(profile.Span) {
-		// A failed counter read only drops one sample point.
-		_ = sampler.Sample()
-	})
+	prof.Spans.Attach(func(profile.Span) { c.Read() })
 
 	// Scheduler tasks land on per-executor "sched" tracks, so the
 	// parallel variants show their range decomposition next to the host
@@ -71,8 +65,8 @@ func newWiredSession(name string) (*wiredSession, error) {
 	tasks := &sched.Default().Tasks
 	detachObs := tasks.Attach(obs.SchedSink(session))
 	detachFlight := tasks.Attach(flight.SchedSink(rec))
-	return &wiredSession{session: session, prof: prof, sampler: sampler,
-		detachSched: func() { detachObs(); detachFlight() }}, nil
+	return &wiredSession{session: session, prof: prof,
+		detachSched: func() { detachObs(); detachFlight() }}
 }
 
 // do runs f as a profiled region, propagating f's error ahead of the

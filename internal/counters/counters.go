@@ -3,18 +3,18 @@
 // event sets that are started/stopped around a region, and derived metrics
 // (IPC, miss ratios, bandwidth).
 //
-// Two backends exist. The simulator backend reads the execution-driven
-// cache simulator (package simulator), giving deterministic
-// microarchitectural counts the way PAPI reads PMU registers. The runtime
-// backend samples the Go runtime (allocations, GC, goroutines) — the
-// software-counter analogue. Both expose the same EventSet API, so the
-// pattern detector (package patterns) is backend-agnostic.
+// The backend reads the execution-driven cache simulator (package
+// simulator), giving deterministic microarchitectural counts the way
+// PAPI reads PMU registers. Backend is an interface, so the pattern
+// detector (package patterns) stays backend-agnostic. Go runtime
+// counters (allocations, GC, goroutines) are not read here: the
+// telemetry collector is the one runtime reader, and perfeng's traces
+// sample it at every profiler span exit.
 package counters
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -41,14 +41,6 @@ const (
 	L1WBK Event = "L1_WRITEBACKS" // dirty lines written back from L1
 	TLBA  Event = "PAPI_TLB_DM_A" // data TLB accesses (when a TLB is attached)
 	TLBM  Event = "PAPI_TLB_DM"   // data TLB misses
-)
-
-// Runtime-backed events.
-const (
-	Allocs     Event = "GO_MALLOCS"
-	AllocBytes Event = "GO_ALLOC_BYTES"
-	GCCycles   Event = "GO_GC_CYCLES"
-	Goroutines Event = "GO_GOROUTINES"
 )
 
 // Backend supplies raw counter values.
@@ -141,34 +133,6 @@ func (b *SimBackend) Read(e Event) (uint64, error) {
 	}
 }
 
-// RuntimeBackend reads Go runtime statistics.
-type RuntimeBackend struct{}
-
-// Supported implements Backend.
-func (RuntimeBackend) Supported() []Event {
-	return []Event{AllocBytes, Allocs, GCCycles, Goroutines}
-}
-
-// Read implements Backend.
-func (RuntimeBackend) Read(e Event) (uint64, error) {
-	var ms runtime.MemStats
-	switch e {
-	case Allocs:
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs, nil
-	case AllocBytes:
-		runtime.ReadMemStats(&ms)
-		return ms.TotalAlloc, nil
-	case GCCycles:
-		runtime.ReadMemStats(&ms)
-		return uint64(ms.NumGC), nil
-	case Goroutines:
-		return uint64(runtime.NumGoroutine()), nil
-	default:
-		return 0, fmt.Errorf("counters: event %s not supported by runtime backend", e)
-	}
-}
-
 // EventSet is a PAPI-style set: add events, Start, run the region, Stop,
 // read the deltas.
 type EventSet struct {
@@ -201,33 +165,6 @@ func (s *EventSet) Add(evs ...Event) error {
 		s.events = append(s.events, e)
 	}
 	return nil
-}
-
-// Events returns the events registered in the set, in Add order.
-func (s *EventSet) Events() []Event {
-	return append([]Event(nil), s.events...)
-}
-
-// Backend returns the backend the set reads from.
-func (s *EventSet) Backend() Backend { return s.backend }
-
-// ReadNow reads the current cumulative value of every event in the set
-// without disturbing a running Start/Stop window — the sampling entry
-// point a timeline consumer uses to record counter series between the
-// PAPI-style start/stop deltas.
-func (s *EventSet) ReadNow() (map[Event]uint64, error) {
-	if len(s.events) == 0 {
-		return nil, errors.New("counters: empty event set")
-	}
-	out := make(map[Event]uint64, len(s.events))
-	for _, e := range s.events {
-		v, err := s.backend.Read(e)
-		if err != nil {
-			return nil, err
-		}
-		out[e] = v
-	}
-	return out, nil
 }
 
 // Start snapshots the counters.

@@ -108,29 +108,6 @@ func TestEventSetErrors(t *testing.T) {
 	}
 }
 
-func TestRuntimeBackend(t *testing.T) {
-	s := NewEventSet(RuntimeBackend{})
-	if err := s.Add(Allocs, AllocBytes, Goroutines); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Measure(func() {
-		data := make([][]byte, 100)
-		for i := range data {
-			data[i] = make([]byte, 1024)
-		}
-		_ = data
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ab, err := s.Value(AllocBytes)
-	if err != nil || ab < 100*1024 {
-		t.Fatalf("AllocBytes = %d, %v", ab, err)
-	}
-	if _, err := (RuntimeBackend{}).Read(L1DCA); err == nil {
-		t.Fatal("runtime backend must reject simulator events")
-	}
-}
-
 func TestDerived(t *testing.T) {
 	s, h := simSet(t)
 	if err := s.Add(L1DCA, L1DCM, L2DCA, L2DCM, L3DCA, L3DCM, MemRd, MemWr); err != nil {

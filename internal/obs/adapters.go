@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"perfeng/internal/cluster"
-	"perfeng/internal/counters"
 	"perfeng/internal/gpu"
 	"perfeng/internal/profile"
 	"perfeng/internal/sched"
@@ -17,9 +15,9 @@ import (
 
 // Adapters wiring the existing producers into one session timeline:
 // profiler regions become spans, cluster ranks become tracks (keeping
-// the material the Scalasca-style wait-state analysis runs on), counter
-// event sets become sampled series, and SIMT kernel launches become
-// device-track spans with occupancy metadata.
+// the material the Scalasca-style wait-state analysis runs on), runtime
+// collector samples become counter series, and SIMT kernel launches
+// become device-track spans with occupancy metadata.
 
 // Producer lane names. internal/flight's sinks use the same functions,
 // so a live session and a drained black box put each producer on the
@@ -107,58 +105,6 @@ func AddClusterTrace(s *Session, tr *cluster.Tracer) {
 				"wait": wait.String(),
 			})
 		}
-	}
-}
-
-// CounterSampler samples a PAPI-style event set into the session's
-// counter series. Values are reported as deltas from the first sample,
-// so the series start at zero at the session origin instead of at
-// whatever the process accumulated before tracing began.
-type CounterSampler struct {
-	s    *Session
-	set  *counters.EventSet
-	base map[counters.Event]uint64
-	// events and names are resolved once at construction so the
-	// per-span-boundary record loop builds no series-name strings.
-	events []counters.Event
-	names  []string
-}
-
-// NewCounterSampler creates a sampler over the set and records the
-// baseline sample immediately. prefix namespaces the series (e.g.
-// "runtime/"). The set needs its events added, but not started.
-func NewCounterSampler(s *Session, prefix string, set *counters.EventSet) (*CounterSampler, error) {
-	base, err := set.ReadNow()
-	if err != nil {
-		return nil, err
-	}
-	cs := &CounterSampler{s: s, set: set, base: base, events: set.Events()}
-	cs.names = make([]string, len(cs.events))
-	for i, e := range cs.events {
-		cs.names[i] = prefix + string(e)
-	}
-	cs.record(s.Now(), base)
-	return cs, nil
-}
-
-// Sample reads every event in the set and appends one point per series,
-// stamped now. Call it at span boundaries so counter inflections line up
-// with the spans that caused them.
-func (cs *CounterSampler) Sample() error {
-	vals, err := cs.set.ReadNow()
-	if err != nil {
-		return err
-	}
-	cs.record(cs.s.Now(), vals)
-	return nil
-}
-
-func (cs *CounterSampler) record(at time.Duration, vals map[counters.Event]uint64) {
-	for i, e := range cs.events {
-		// Signed delta: gauges like GO_GOROUTINES can dip below the
-		// baseline, which must not wrap around in uint64 space.
-		delta := float64(vals[e]) - float64(cs.base[e])
-		cs.s.CounterSampleAt(cs.names[i], at, delta)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"perfeng/internal/cluster"
-	"perfeng/internal/counters"
 	"perfeng/internal/gpu"
 	"perfeng/internal/machine"
 	"perfeng/internal/profile"
@@ -90,44 +89,6 @@ func TestAddClusterTrace(t *testing.T) {
 		if kinds[want] == 0 {
 			t.Fatalf("missing %q spans: %v", want, kinds)
 		}
-	}
-}
-
-func TestCounterSampler(t *testing.T) {
-	s := NewSession("test")
-	set := counters.NewEventSet(counters.RuntimeBackend{})
-	if err := set.Add(counters.Allocs, counters.Goroutines); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewCounterSampler(s, "runtime/", set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allocate between samples so the delta is visibly positive.
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	_ = sink
-	if err := cs.Sample(); err != nil {
-		t.Fatal(err)
-	}
-	series := s.Counters()
-	allocs := series["runtime/"+string(counters.Allocs)]
-	if len(allocs) != 2 {
-		t.Fatalf("alloc samples = %d, want 2 (baseline + one)", len(allocs))
-	}
-	if allocs[0].Value != 0 {
-		t.Fatalf("baseline sample = %v, want 0", allocs[0].Value)
-	}
-	if allocs[1].Value <= 0 {
-		t.Fatalf("alloc delta = %v, want > 0", allocs[1].Value)
-	}
-	if allocs[1].At < allocs[0].At {
-		t.Fatal("samples out of order")
-	}
-	if _, ok := series["runtime/"+string(counters.Goroutines)]; !ok {
-		t.Fatal("goroutine series missing")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -296,8 +297,9 @@ func cachePath(cacheDir, key string) string {
 }
 
 // loadCacheEntry returns the entry for key, or nil on any miss:
-// absent, unreadable, undecodable, or stamped differently. Damaged
-// entries count in stats and are overwritten by the re-analysis.
+// absent, unreadable, undecodable, stamped differently, or holding
+// facts of another package or a null function fact. Damaged entries
+// count in stats and are overwritten by the re-analysis.
 func loadCacheEntry(cacheDir, key, stamp, path string, stats *CacheStats) *cacheEntry {
 	if cacheDir == "" {
 		return nil
@@ -307,7 +309,8 @@ func loadCacheEntry(cacheDir, key, stamp, path string, stats *CacheStats) *cache
 		return nil
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Suite != stamp || e.Path != path || e.Facts == nil {
+	if err := json.Unmarshal(data, &e); err != nil || e.Suite != stamp || e.Path != path ||
+		e.Facts == nil || e.Facts.Path != path || slices.Contains(e.Facts.Funcs, nil) {
 		stats.Corrupt++
 		return nil
 	}

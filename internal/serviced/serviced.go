@@ -251,16 +251,15 @@ func (s *Service) Close() {
 // GET /v1/stats (admission + sizing snapshot JSON).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", s.handleJobs)
-	mux.HandleFunc("/v1/stats", s.handleStats)
+	s.Attach(mux)
 	return mux
 }
 
-// Attach registers the service's routes on any HandleFunc-style
-// registrar (telemetry.Server satisfies it), which is how perfeng
-// serve mounts the job API next to /metrics.
+// Attach registers the service's routes on reg: an *http.ServeMux, or
+// a telemetry.Server, which is how perfeng serve mounts the job API
+// next to /metrics.
 func (s *Service) Attach(reg interface {
-	HandleFunc(pattern string, fn http.HandlerFunc)
+	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
 }) {
 	reg.HandleFunc("/v1/jobs", s.handleJobs)
 	reg.HandleFunc("/v1/stats", s.handleStats)

@@ -1,8 +1,10 @@
-// The runtime collector: a background sampler that publishes Go
-// runtime health — scheduler, GC, heap — into the registry on a ticker,
-// and mirrors every sample to the sinks attached to Collector.Samples
-// (the obs session's counter series, the flight recorder) so live
-// monitoring and the Chrome-trace view stay one dataset.
+// The runtime collector: the one reader of the Go runtime. It publishes
+// runtime health — scheduler, GC, heap — into the registry on a ticker
+// and, through Read, whenever a caller asks (perfeng's profiler span
+// exits). Every sample is mirrored to the sinks attached to
+// Collector.Samples (the obs session's counter series, the flight
+// recorder), so live monitoring and the Chrome-trace view stay one
+// dataset.
 package telemetry
 
 import (
@@ -47,10 +49,11 @@ type Collector struct {
 	// Samples receives every sampled value in addition to the registry:
 	// the bridge that lands live series in a trace timeline and the
 	// flight recorder. Sinks may attach and detach while the collector
-	// runs; they are called from the sampling goroutine.
+	// runs; they are called from the sampling goroutine or from Read's
+	// caller, one pass at a time.
 	Samples probe.Hook[Sample]
 
-	mu sync.Mutex // serializes sampling passes
+	mu sync.Mutex // serializes sampling passes, ticks and Reads alike
 
 	gauges     []*Gauge // aligned with the scalar entries of runtimeMetrics
 	names      []string // exposition names, same alignment
@@ -146,12 +149,27 @@ func (c *Collector) Stop() {
 	c.stop, c.done = nil, nil
 }
 
-// SampleOnce reads the runtime and publishes one sample of every
-// metric. Exported so tests and one-shot tools can sample without the
-// background loop.
-func (c *Collector) SampleOnce() {
+// Read takes one raw reading of the runtime: the curated table in one
+// runtime/metrics.Read plus the MemStats trio, published to the
+// registry and the Samples sinks. It leaves the derived interval
+// ratios and the tick counter alone, so it may run between ticks (a
+// profiler span exit does) without changing what the ratios mean.
+func (c *Collector) Read() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.read()
+}
+
+// read is Read under c.mu; it returns the cumulative GC pause seconds
+// it published.
+func (c *Collector) read() float64 {
+	// MemStats first: its stop-the-world flushes every P's cached spans,
+	// so the table's allocation counters read next are exact at this
+	// instant instead of lagging by a span per size class and P. Its
+	// cumulative GC pause total is exact too, where runtime/metrics only
+	// has a bucketed pause histogram.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	rtmetrics.Read(c.samples)
 	for i, s := range c.samples {
 		var v float64
@@ -166,12 +184,6 @@ func (c *Collector) SampleOnce() {
 		c.gauges[i].Set(v)
 		c.Samples.Emit(Sample{c.names[i], v})
 	}
-
-	// GC pause total from the runtime's pause histogram: sum of
-	// bucket-weighted counts is overkill; MemStats carries the exact
-	// cumulative total.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	pause := float64(ms.PauseTotalNs) / 1e9
 	c.pauses.Set(pause)
 	c.Samples.Emit(Sample{"go_gc_pause_total_seconds", pause})
@@ -179,6 +191,16 @@ func (c *Collector) SampleOnce() {
 	c.Samples.Emit(Sample{"go_memstats_heap_inuse_bytes", float64(ms.HeapInuse)})
 	c.stackInuse.Set(float64(ms.StackInuse))
 	c.Samples.Emit(Sample{"go_memstats_stack_inuse_bytes", float64(ms.StackInuse)})
+	return pause
+}
+
+// SampleOnce is one tick: a Read, then the derived interval ratios and
+// the tick counter. Exported so tests and one-shot tools can sample
+// without the background loop.
+func (c *Collector) SampleOnce() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pause := c.read()
 
 	// Derived interval deltas. The first sample has no interval, so both
 	// ratios report zero until the second pass.

@@ -53,7 +53,7 @@ func NewServer(addr string, reg *Registry, trace func() TraceSource) *Server {
 // endpoints — how the flight recorder's /debug/flight dump attaches
 // without this package importing it. Register before Start/Handler;
 // built-in patterns cannot be overridden.
-func (s *Server) HandleFunc(pattern string, fn http.HandlerFunc) {
+func (s *Server) HandleFunc(pattern string, fn func(http.ResponseWriter, *http.Request)) {
 	if s.extra == nil {
 		s.extra = make(map[string]http.HandlerFunc)
 	}
