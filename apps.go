@@ -71,10 +71,13 @@ func buildMatMul(n, workers int) *Application {
 	}
 }
 
+// buildHistogram's parallel variants run through the instance's own
+// workspace, which keeps their loop bodies and private bins.
 func buildHistogram(n, workers int) *Application {
 	samples := kernels.UniformSamples(n, 7)
 	const bins = 256
 	counts := make([]int64, bins)
+	ws := kernels.NewHistogramWorkspace(samples, counts)
 	clear := func() {
 		for i := range counts {
 			counts[i] = 0
@@ -91,15 +94,15 @@ func buildHistogram(n, workers int) *Application {
 		Candidates: []Variant{
 			{Name: "mutex", Procs: workers, Run: func() {
 				clear()
-				kernels.HistogramMutex(samples, counts, workers)
+				ws.Mutex(workers)
 			}},
 			{Name: "atomic", Procs: workers, Run: func() {
 				clear()
-				kernels.HistogramAtomic(samples, counts, workers)
+				ws.Atomic(workers)
 			}},
 			{Name: "privatized", Procs: workers, Run: func() {
 				clear()
-				kernels.HistogramPrivate(samples, counts, workers)
+				ws.Private(workers)
 			}},
 		},
 	}
@@ -187,12 +190,13 @@ func buildFFT(n, workers int) *Application {
 	}
 	x := kernels.RandomComplex(size, 3)
 	buf := make([]complex128, size)
+	out := make([]complex128, size)
 	return &Application{
 		Name:  fmt.Sprintf("fft-n%d", size),
 		FLOPs: kernels.FFTFLOPs(size),
 		Bytes: float64(size) * 16 * 2,
 		Baseline: Variant{Name: "dft-n2", Run: func() {
-			kernels.DFT(x)
+			kernels.DFTInto(out, x)
 		}},
 		Candidates: []Variant{
 			{Name: "fft-radix2", Run: func() {

@@ -6,11 +6,12 @@ import (
 )
 
 // servedShapes are the stencil and Game of Life shapes perfbench's
-// jobs-kernel workload serves.
+// jobs-kernel workload serves and the histogram and fft shapes of its
+// jobs-small workload.
 var servedShapes = []struct {
 	name       string
 	n, workers int
-}{{"stencil", 512, 2}, {"gameoflife", 192, 2}}
+}{{"stencil", 512, 2}, {"gameoflife", 192, 2}, {"histogram", 64, 1}, {"fft", 256, 1}}
 
 // variants returns an application's baseline followed by its candidates.
 func variants(app *Application) []Variant {
@@ -45,7 +46,7 @@ func TestServedRepsDoNotAllocate(t *testing.T) {
 // instances share no scratch.
 func TestAppInstancesRunConcurrently(t *testing.T) {
 	var wg sync.WaitGroup
-	for _, name := range []string{"stencil", "gameoflife"} {
+	for _, name := range []string{"stencil", "gameoflife", "histogram"} {
 		for i := 0; i < 2; i++ {
 			app, err := BuiltinApplication(name, 48, 2)
 			if err != nil {

@@ -26,8 +26,15 @@ func FFTFLOPs(n int) float64 {
 // DFT computes the discrete Fourier transform directly in O(n^2);
 // it is the reference implementation FFT variants are validated against.
 func DFT(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	DFTInto(out, x)
+	return out
+}
+
+// DFTInto is DFT writing the transform into out, which must have x's
+// length and must not overlap it.
+func DFTInto(out, x []complex128) {
 	n := len(x)
-	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for t := 0; t < n; t++ {
@@ -36,7 +43,6 @@ func DFT(x []complex128) []complex128 {
 		}
 		out[k] = sum
 	}
-	return out
 }
 
 // FFT computes the forward transform of x in place using the iterative

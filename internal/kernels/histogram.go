@@ -48,51 +48,98 @@ func binIndex(s float64, bins int) int {
 // contended for skewed inputs (the "false sharing / contention"
 // performance pattern).
 func HistogramAtomic(samples []float64, counts []int64, workers int) {
-	bins := len(counts)
-	parForTuned(tune.KernelHistogram, len(samples), workers, func(lo, hi int) {
-		for _, s := range samples[lo:hi] {
-			atomic.AddInt64(&counts[binIndex(s, bins)], 1)
-		}
-	})
+	NewHistogramWorkspace(samples, counts).Atomic(workers)
 }
 
 // HistogramPrivate bins samples in parallel with per-executor private bin
 // arrays merged at the end — the standard privatization fix for the
-// contention pattern. Private arrays are allocated lazily on an
-// executor's first range, so only executors that actually ran pay for
-// one.
+// contention pattern.
 func HistogramPrivate(samples []float64, counts []int64, workers int) {
-	bins := len(counts)
-	privs := make([][]int64, parExecutors())
-	parForWorkerTuned(tune.KernelHistogram, len(samples), workers, func(w, lo, hi int) {
-		priv := privs[w]
-		if priv == nil {
-			priv = make([]int64, bins)
-			privs[w] = priv
-		}
-		for _, s := range samples[lo:hi] {
-			priv[binIndex(s, bins)]++
-		}
-	})
-	for _, priv := range privs {
-		for i, c := range priv {
-			counts[i] += c
-		}
-	}
+	NewHistogramWorkspace(samples, counts).Private(workers)
 }
 
 // HistogramMutex bins samples in parallel with a single mutex around the
 // shared bin array — the pessimal strategy, kept as the ablation baseline.
 func HistogramMutex(samples []float64, counts []int64, workers int) {
-	bins := len(counts)
-	var mu sync.Mutex
-	parFor(len(samples), workers, func(lo, hi int) {
-		for _, s := range samples[lo:hi] {
-			mu.Lock()
-			counts[binIndex(s, bins)]++
-			mu.Unlock()
+	NewHistogramWorkspace(samples, counts).Mutex(workers)
+}
+
+// HistogramWorkspace runs the parallel histogram strategies over one
+// sample set and one bin array. It keeps what they would otherwise
+// allocate per call: each strategy's loop body, built on its first run,
+// the mutex, and the private bin arrays, so repeated runs allocate
+// nothing. Each run adds to the bins; callers clear them between runs.
+// A workspace is not safe for concurrent use.
+type HistogramWorkspace struct {
+	samples []float64
+	counts  []int64
+	mu      sync.Mutex
+	privs   [][]int64 // per executor, allocated on its first range
+	atomic  func(lo, hi int)
+	mutex   func(lo, hi int)
+	private func(w, lo, hi int)
+}
+
+// NewHistogramWorkspace returns a workspace binning samples in [0,1)
+// into counts.
+func NewHistogramWorkspace(samples []float64, counts []int64) *HistogramWorkspace {
+	return &HistogramWorkspace{samples: samples, counts: counts}
+}
+
+// Atomic runs HistogramAtomic's strategy.
+func (ws *HistogramWorkspace) Atomic(workers int) {
+	if ws.atomic == nil {
+		ws.atomic = func(lo, hi int) {
+			bins := len(ws.counts)
+			for _, s := range ws.samples[lo:hi] {
+				atomic.AddInt64(&ws.counts[binIndex(s, bins)], 1)
+			}
 		}
-	})
+	}
+	parForTuned(tune.KernelHistogram, len(ws.samples), workers, ws.atomic)
+}
+
+// Mutex runs HistogramMutex's strategy.
+func (ws *HistogramWorkspace) Mutex(workers int) {
+	if ws.mutex == nil {
+		ws.mutex = func(lo, hi int) {
+			bins := len(ws.counts)
+			for _, s := range ws.samples[lo:hi] {
+				ws.mu.Lock()
+				ws.counts[binIndex(s, bins)]++
+				ws.mu.Unlock()
+			}
+		}
+	}
+	parFor(len(ws.samples), workers, ws.mutex)
+}
+
+// Private runs HistogramPrivate's strategy. An executor's private array
+// is allocated on its first range and kept; the merge adds each into
+// the bins and zeroes it for the next run.
+func (ws *HistogramWorkspace) Private(workers int) {
+	if e := parExecutors(); len(ws.privs) < e {
+		ws.privs = append(ws.privs, make([][]int64, e-len(ws.privs))...)
+	}
+	if ws.private == nil {
+		ws.private = func(w, lo, hi int) {
+			priv := ws.privs[w]
+			if priv == nil {
+				priv = make([]int64, len(ws.counts))
+				ws.privs[w] = priv
+			}
+			for _, s := range ws.samples[lo:hi] {
+				priv[binIndex(s, len(priv))]++
+			}
+		}
+	}
+	parForWorkerTuned(tune.KernelHistogram, len(ws.samples), workers, ws.private)
+	for _, priv := range ws.privs {
+		for i, c := range priv {
+			ws.counts[i] += c
+			priv[i] = 0
+		}
+	}
 }
 
 // UniformSamples returns n deterministic uniform samples in [0,1).

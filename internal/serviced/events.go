@@ -5,9 +5,12 @@
 // hand-rolled appender so the encode path allocates nothing into a
 // reused buffer and the bytes are deterministic — which is what lets
 // the golden test vectors under testdata/vectors/ pin the format
-// byte-for-byte. Decoding goes through encoding/json and ignores
+// byte-for-byte. Event decoding goes through encoding/json and ignores
 // unknown fields, so a v+1 server can stream to a v client (the
-// version-skew vectors exercise exactly that).
+// version-skew vectors exercise exactly that). The request side,
+// POST /v1/jobs bodies, is jobspec.go's: one pass without reflection
+// decodes the canonical JobSpec object, and every other body goes to
+// encoding/json.
 package serviced
 
 import (
@@ -64,6 +67,10 @@ func (k Kind) Known() bool {
 	}
 	return false
 }
+
+// terminal reports whether k ends a job's stream. The executor closes
+// the stream after it.
+func (k Kind) terminal() bool { return k == KindResult || k == KindError }
 
 // QueueInfo is the accepted payload: where the job landed.
 type QueueInfo struct {

@@ -2,6 +2,7 @@ package serviced
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -41,6 +42,20 @@ func FuzzParseSSEFrame(f *testing.F) {
 var fuzzKernels = []string{"bfs", "fft", "gameoflife", "histogram", "matmul",
 	"pagerank", "spmv", "stencil", "wordle"}
 
+// handleJobsSeeds are FuzzHandleJobs's seed bodies.
+func handleJobsSeeds() [][]byte {
+	var seeds [][]byte
+	for _, k := range fuzzKernels {
+		seeds = append(seeds, []byte(`{"tenant":"t1","kernel":"`+k+`","n":64,"workers":2,"reps":2}`))
+	}
+	return append(seeds,
+		[]byte(`{"tenant":"t1","kernel":"matmul","reps":1000000000}`),
+		[]byte(`{"tenant":"t1","kernel":"spmv","n":-5}`),
+		[]byte(`{"tenant":"","kernel":"fft"}`),
+		[]byte(`{"kernel":"stencil","policy":"fail","reps":3}`),
+		[]byte(`{"tenant":"t2","kernel":"panic","reps":2}`))
+}
+
 // FuzzHandleJobs posts hostile JobSpec bodies to a fresh Service per
 // input, over a resolver that knows the built-in kernel names and a
 // "panic" kernel whose every rep panics, rejects a negative n, and
@@ -50,14 +65,9 @@ var fuzzKernels = []string{"bfs", "fft", "gameoflife", "histogram", "matmul",
 // the last; and once the service is closed, every admitted job must
 // have completed.
 func FuzzHandleJobs(f *testing.F) {
-	for _, k := range fuzzKernels {
-		f.Add([]byte(`{"tenant":"t1","kernel":"` + k + `","n":64,"workers":2,"reps":2}`))
+	for _, b := range handleJobsSeeds() {
+		f.Add(b)
 	}
-	f.Add([]byte(`{"tenant":"t1","kernel":"matmul","reps":1000000000}`))
-	f.Add([]byte(`{"tenant":"t1","kernel":"spmv","n":-5}`))
-	f.Add([]byte(`{"tenant":"","kernel":"fft"}`))
-	f.Add([]byte(`{"kernel":"stencil","policy":"fail","reps":3}`))
-	f.Add([]byte(`{"tenant":"t2","kernel":"panic","reps":2}`))
 	known := map[string]bool{"panic": true}
 	for _, k := range fuzzKernels {
 		known[k] = true
@@ -108,4 +118,132 @@ func FuzzHandleJobs(f *testing.F) {
 			t.Fatalf("%q: %d admitted, %d completed", body, st.Admitted, st.Completions)
 		}
 	})
+}
+
+// testSpecs are the JobSpecs this package's tests post, and a few
+// with a policy, negative numbers and strings json.Marshal escapes or
+// leaves outside printable ASCII. Clients send them as json.Marshal
+// writes them.
+var testSpecs = []JobSpec{
+	{Tenant: "acme", Kernel: "smoke", Reps: 3},
+	{Kernel: "nope"},
+	{Tenant: "t0", Kernel: "x"},
+	{Tenant: "late", Kernel: "x"},
+	{Tenant: "t3", Kernel: "smoke", Reps: 1},
+	{Kernel: "x", Reps: 3},
+	{Kernel: "panic", Reps: 3},
+	{Kernel: "ok", Reps: 2},
+	{Kernel: "smoke"},
+	{Tenant: "acme", Kernel: "x", Reps: 4},
+	{Kernel: "smoke", Reps: 2},
+	{Kernel: "x", Reps: 1},
+	{Tenant: "t1", Kernel: "histogram", N: 64, Workers: 1, Reps: 8},
+	{Tenant: "t7", Kernel: "spmv", N: 256, Workers: 1, Policy: "static", Reps: 1},
+	{Tenant: "t-9", Kernel: "fft", N: -256, Workers: -1, Reps: -3},
+	{Tenant: "<&>", Kernel: "x", N: 1 << 40, Reps: 64},
+	{Tenant: "t1", Kernel: "caf\u00e9"},
+}
+
+// decodeJobSpecSeeds are FuzzDecodeJobSpec's seed bodies: every body
+// this package's tests and FuzzHandleJobs send, and the shapes next to
+// the canonical form that must fall back to encoding/json.
+func decodeJobSpecSeeds() [][]byte {
+	seeds := handleJobsSeeds()
+	for _, spec := range testSpecs {
+		b, _ := json.Marshal(spec)
+		seeds = append(seeds, b)
+	}
+	canonical := []byte(`{"tenant":"t1","kernel":"fft","n":256,"workers":1,"reps":1}`)
+	pad := bytes.Repeat([]byte(" "), maxJobSpecBytes+1)
+	return append(seeds,
+		[]byte("{"),
+		[]byte(""),
+		[]byte("   "),
+		append(append([]byte(nil), canonical...), pad...),
+		append(append([]byte(nil), pad...), canonical...),
+		append(append([]byte(nil), canonical...), "garbage"...),
+		append(append([]byte(nil), canonical...), canonical...),
+		append([]byte(" "), canonical...),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":256,"workers":1,"reps":1`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":256,"workers":1,"policy":"","reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":256,"workers":1,"policy":null,"reps":1}`),
+		[]byte(`{"Tenant":"t1","kernel":"fft","n":256,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t\u0031","kernel":"fft","n":256,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":0256,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":-0,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":2.5,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":1e3,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":999999999999999999,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":99999999999999999999,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":-,"workers":1,"reps":1}`),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":"256","workers":1,"reps":1}`),
+		[]byte("{\"tenant\":\"t\xff\",\"kernel\":\"fft\",\"n\":1,\"workers\":1,\"reps\":1}"),
+		[]byte("{\"tenant\":\"t\t\",\"kernel\":\"fft\",\"n\":1,\"workers\":1,\"reps\":1}"),
+		[]byte(`{"tenant":"t1","kernel":"fft","n":256,"workers":1,"reps":1,"reps":2}`),
+		[]byte(`{"kernel":"fft","tenant":"t1","n":256,"workers":1,"reps":1}`),
+		[]byte(`[]`),
+		[]byte(`null`),
+		[]byte(`7`))
+}
+
+// FuzzDecodeJobSpec checks decodeJobSpec against encoding/json, the
+// reference it replaces on the request path: the same error or none,
+// the same error text and the same JobSpec, for any body, including
+// ones over the 64 KiB request bound and ones with data after the
+// first value.
+func FuzzDecodeJobSpec(f *testing.F) {
+	for _, b := range decodeJobSpecSeeds() {
+		f.Add(b)
+	}
+	var names internTable
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, gotErr := decodeJobSpec(body, &names)
+		var want JobSpec
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%.200q: error %v, encoding/json's %v", body, gotErr, wantErr)
+		}
+		if got != want {
+			t.Fatalf("%.200q: decoded %+v, encoding/json %+v", body, got, want)
+		}
+	})
+}
+
+// TestDecodeJobSpecCanonicalForm: what json.Marshal writes for the
+// specs of this package's tests takes the one-pass path, not the
+// fallback, so FuzzDecodeJobSpec compares the path the clients use.
+func TestDecodeJobSpecCanonicalForm(t *testing.T) {
+	var names internTable
+	for _, spec := range testSpecs {
+		b, _ := json.Marshal(spec)
+		got, ok := decodeCanonicalJobSpec(b, &names)
+		plain := true
+		for _, c := range b {
+			plain = plain && c >= 0x20 && c <= 0x7E && c != '\\'
+		}
+		if ok != plain || ok && got != spec {
+			t.Errorf("%s: one-pass decode gives %+v, %v; want %+v, %v", b, got, ok, spec, plain)
+		}
+	}
+}
+
+// BenchmarkDecodeJobSpec decodes the canonical body perfbench's
+// jobs-small clients send, and fails if that allocates.
+func BenchmarkDecodeJobSpec(b *testing.B) {
+	body := []byte(`{"tenant":"t3","kernel":"histogram","n":64,"workers":1,"reps":8}`)
+	var names internTable
+	decode := func() {
+		if _, err := decodeJobSpec(body, &names); err != nil {
+			b.Fatal(err)
+		}
+	}
+	decode()
+	if a := testing.AllocsPerRun(100, decode); a != 0 {
+		b.Fatalf("decoding the canonical body allocates %v times, want 0", a)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
 }

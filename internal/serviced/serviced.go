@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,7 +104,8 @@ func (j *job) emit(e Event) {
 
 // drain appends the SSE frames of every event already in j.events to
 // buf without blocking. It returns the grown buffer, the number of
-// frames appended, and false once the executor has closed the channel.
+// frames appended, and whether more events may follow: false once it
+// has appended the terminal event or found the channel closed.
 func (j *job) drain(buf []byte) ([]byte, uint64, bool) {
 	var n uint64
 	for {
@@ -113,6 +116,9 @@ func (j *job) drain(buf []byte) ([]byte, uint64, bool) {
 			}
 			buf = AppendSSE(buf, &e)
 			n++
+			if e.Kind.terminal() {
+				return buf, n, false
+			}
 		default:
 			return buf, n, true
 		}
@@ -132,7 +138,8 @@ type Service struct {
 	mu     sync.RWMutex // guards closed vs. enqueue
 	closed bool
 
-	met serviceMetrics
+	met   serviceMetrics
+	names internTable // tenant and kernel names of decoded requests
 }
 
 // serviceMetrics are the perfeng_serviced_* handles; all nil (no-op)
@@ -307,9 +314,12 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a job spec", http.StatusMethodNotAllowed)
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10))
-	if err := dec.Decode(&spec); err != nil {
+	// One buffer serves the request: it takes the body, then the
+	// rejection or the stream's frames. Its first size is a one-rep
+	// job's stream.
+	buf := make([]byte, sseFrameCap*4)
+	spec, err := readJobSpec(w, r.Body, buf, &s.names)
+	if err != nil {
 		s.met.badRequests.Inc()
 		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
 		return
@@ -333,7 +343,7 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	d := s.adm.Admit(spec.Tenant, now)
 	if !d.OK {
-		s.reject(w, spec, d)
+		s.reject(w, spec, d, buf)
 		return
 	}
 	s.met.admitted.Inc()
@@ -342,7 +352,7 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	j := &job{
 		spec:    spec,
-		id:      fmt.Sprintf("j%d", s.ids.Add(1)),
+		id:      jobID(s.ids.Add(1)),
 		runner:  runner,
 		admitAt: now,
 		events:  make(chan Event, spec.Reps+3),
@@ -354,9 +364,11 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Job-Id", j.id)
 	flusher, _ := w.(http.Flusher)
-	// One buffer for the whole stream: reps+3 frames of sseFrameCap
-	// bytes hold the largest batch of typical frames.
-	buf := make([]byte, 0, sseFrameCap*(spec.Reps+3))
+	// reps+3 frames of sseFrameCap bytes hold the largest batch of
+	// typical frames.
+	if need := sseFrameCap * (spec.Reps + 3); cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
 	accepted := Event{
 		V: SchemaVersion, Kind: KindAccepted, Job: j.id, Tenant: spec.Tenant, Seq: j.next(),
 		Queue: &QueueInfo{Position: d.Position, Len: d.QueueLen, Limit: d.Limit,
@@ -383,11 +395,14 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Each wake-up sends one batch: the event that woke the handler plus
-	// every event already waiting behind it, in one Write and one Flush.
-	// No event waits for a later one, and the last batch is flushed here
-	// rather than left to net/http. (net/http formats each chunk's size
-	// through fmt, which allocates for a chunk of 256 bytes or more, so
-	// most batches of two or more frames cost one small allocation.)
+	// every event already waiting behind it, in one Write. No event
+	// waits for a later one. Every batch but the last is flushed here;
+	// the last, which ends with the terminal event, is left in the
+	// response buffer, and net/http's finishRequest writes it together
+	// with the chunk terminator, so the stream ends in one write rather
+	// than two. (net/http formats each chunk's size through fmt, which
+	// allocates for a chunk of 256 bytes or more, so most batches of two
+	// or more frames cost one small allocation.)
 	ctx := r.Context()
 	for {
 		select {
@@ -396,20 +411,24 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			buf = AppendSSE(buf[:0], &e)
-			var n uint64
-			buf, n, ok = j.drain(buf)
+			n, more := uint64(1), !e.Kind.terminal()
+			if more {
+				var k uint64
+				buf, k, more = j.drain(buf)
+				n += k
+			}
 			if _, err := w.Write(buf); err != nil {
 				// Client went away; the job still runs (its slot is
 				// accounted for) but nobody is listening.
 				s.met.disconnects.Inc()
 				return
 			}
-			s.met.eventsSent.Add(1 + n)
+			s.met.eventsSent.Add(n)
+			if !more {
+				return
+			}
 			if flusher != nil {
 				flusher.Flush()
-			}
-			if !ok {
-				return
 			}
 		case <-ctx.Done():
 			s.met.disconnects.Inc()
@@ -418,10 +437,18 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// jobID formats the n-th job's ID, "j<n>".
+func jobID(n uint64) string {
+	var b [24]byte
+	return string(strconv.AppendUint(append(b[:0], 'j'), n, 10))
+}
+
 // reject writes the 429 (or 503 when draining): Retry-After header in
 // whole seconds rounded up, millisecond-resolution horizon in the JSON
 // body, context dropped into the flight recorder's black box.
-func (s *Service) reject(w http.ResponseWriter, spec JobSpec, d Decision) {
+// The body and its trailing newline go out in one Write from buf, the
+// request's buffer.
+func (s *Service) reject(w http.ResponseWriter, spec JobSpec, d Decision, buf []byte) {
 	status := http.StatusTooManyRequests
 	switch d.Reason {
 	case ReasonRate:
@@ -444,7 +471,7 @@ func (s *Service) reject(w http.ResponseWriter, spec JobSpec, d Decision) {
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	e := Event{
@@ -452,8 +479,7 @@ func (s *Service) reject(w http.ResponseWriter, spec JobSpec, d Decision) {
 		Reject: &RejectInfo{Reason: d.Reason, RetryAfterMS: retry.Milliseconds(),
 			QueueLen: d.QueueLen, Limit: d.Limit},
 	}
-	w.Write(AppendJSON(make([]byte, 0, 256), &e))
-	w.Write([]byte("\n"))
+	w.Write(append(AppendJSON(buf[:0], &e), '\n'))
 }
 
 // enqueue hands j to the executors unless the service is draining.
@@ -498,28 +524,28 @@ func (s *Service) run(j *job, durs []float64) {
 		total += d
 		if err != nil {
 			s.met.jobErrors.Inc()
-			j.emit(Event{Kind: KindError, Message: err.Error()})
-			close(j.events)
-			s.finish(j, wait, total)
+			s.finish(j, wait, total, Event{Kind: KindError, Message: err.Error()})
 			return
 		}
 		durs = append(durs, float64(d))
 		j.emit(Event{Kind: KindProgress, Rep: &RepInfo{Rep: rep, Reps: reps, NS: int64(d)}})
 	}
+	// The mean sums the reps in run order; the quantiles read one sort
+	// of the executor's own buffer.
+	mean := stats.Mean(durs)
+	sort.Float64s(durs)
 	res := &ResultInfo{
 		Kernel:  j.spec.Kernel,
 		Reps:    reps,
 		WaitNS:  int64(wait),
-		MeanNS:  int64(stats.Mean(durs)),
-		P50NS:   int64(stats.Percentile(durs, 50)),
-		P95NS:   int64(stats.Percentile(durs, 95)),
-		P99NS:   int64(stats.Percentile(durs, 99)),
+		MeanNS:  int64(mean),
+		P50NS:   int64(stats.PercentileSorted(durs, 50)),
+		P95NS:   int64(stats.PercentileSorted(durs, 95)),
+		P99NS:   int64(stats.PercentileSorted(durs, 99)),
 		TotalNS: int64(total),
 	}
-	j.emit(Event{Kind: KindResult, Result: res})
-	close(j.events)
 	s.met.completed.Inc()
-	s.finish(j, wait, total)
+	s.finish(j, wait, total, Event{Kind: KindResult, Result: res})
 }
 
 // runRep runs one rep and turns a panic in it into an error.
@@ -532,8 +558,12 @@ func runRep(r Runner, rep int) (err error) {
 	return r(rep)
 }
 
-// finish releases the admission slot and records the latency split.
-func (s *Service) finish(j *job, wait, service time.Duration) {
+// finish releases the admission slot and records the latency split,
+// then ends the stream with the terminal event. The handler returns as
+// soon as it has the terminal event, so recording first means that a
+// client that has read a whole stream finds its job in the admission
+// ledger and the histograms.
+func (s *Service) finish(j *job, wait, service time.Duration, terminal Event) {
 	s.adm.Done(service)
 	sojourn := time.Since(j.admitAt)
 	s.met.sojourn.Observe(sojourn.Seconds())
@@ -544,4 +574,6 @@ func (s *Service) finish(j *job, wait, service time.Duration) {
 		end := rec.Now()
 		rec.RecordSpan("serviced", "job/"+j.spec.Kernel, j.id, end-sojourn, sojourn)
 	}
+	j.emit(terminal)
+	close(j.events)
 }

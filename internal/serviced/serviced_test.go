@@ -7,14 +7,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"perfeng/internal/stats"
 	"perfeng/internal/telemetry"
 )
 
@@ -425,11 +429,12 @@ func (g *gatedWriter) Flush() {
 
 // TestServiceBatchesReadyEvents: rep 1 waits until the handler is
 // held in the Flush of the started event, and the test releases that
-// Flush only once the executor has finished the job and closed its
-// channel. Every later event is then ready at once and must go out as
-// exactly one Write and one Flush, byte for byte the frames the handler
-// would have written one at a time, while events_sent still counts
-// events, not writes.
+// Flush only once Close has returned, so the executor has finished the
+// job and closed its channel. Every later event is then ready at once and must go out as
+// exactly one Write, byte for byte the frames the handler would have
+// written one at a time, while events_sent still counts events, not
+// writes. That batch ends with the result, so the handler does not
+// flush it: net/http sends it with the chunk terminator.
 func TestServiceBatchesReadyEvents(t *testing.T) {
 	const reps = 4
 	w := &gatedWriter{header: http.Header{}, held: make(chan struct{}), gate: make(chan struct{})}
@@ -458,18 +463,13 @@ func TestServiceBatchesReadyEvents(t *testing.T) {
 		defer close(served)
 		svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Admission().Stats().Completions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the job never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-w.held    // the handler is in the started event's Flush, so the job is enqueued
+	svc.Close() // returns once the executor has finished the job and closed its channel
 	close(w.gate)
 	<-served
 
-	if len(w.writes) != 3 || fmt.Sprint(w.flushes) != "[1 2 3]" {
-		t.Fatalf("%d writes, flushes after writes %v; want accepted, started, then one batch, each flushed",
+	if len(w.writes) != 3 || fmt.Sprint(w.flushes) != "[1 2]" {
+		t.Fatalf("%d writes, flushes after writes %v; want accepted and started, each flushed, then one unflushed batch",
 			len(w.writes), w.flushes)
 	}
 	events := readStream(t, bytes.NewReader(w.writes[2]))
@@ -542,5 +542,155 @@ func TestServiceStreamsEachEventWithoutWaiting(t *testing.T) {
 	want := []Kind{KindAccepted, KindStarted, KindProgress, KindProgress, KindProgress, KindResult}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("stream kinds %v, want %v", kinds, want)
+	}
+}
+
+// recordingListener hands out conns that record every Write, in order,
+// before passing it on.
+type recordingListener struct {
+	net.Listener
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{Conn: c, l: l}, nil
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.l.mu.Lock()
+	c.l.writes = append(c.l.writes, append([]byte(nil), p...))
+	c.l.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestServiceEndsStreamInOneWrite: the socket write that ends a
+// stream carries the result frame and the chunk terminator together,
+// because the handler leaves its last batch for net/http to send.
+func TestServiceEndsStreamInOneWrite(t *testing.T) {
+	svc, err := New(Config{
+		Resolve: func(spec JobSpec) (Runner, error) {
+			return func(rep int) error { return nil }, nil
+		},
+		Admission: AdmissionConfig{Servers: 1, TargetP99: 2 * time.Second,
+			InitialMeanService: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(svc.Handler())
+	ln := &recordingListener{Listener: srv.Listener}
+	srv.Listener = ln
+	srv.Start()
+	t.Cleanup(func() { srv.Close(); svc.Close() })
+
+	for reps := 1; reps <= 3; reps++ {
+		resp := postJob(t, srv, JobSpec{Tenant: "acme", Kernel: "x", Reps: reps})
+		events := readStream(t, resp.Body)
+		resp.Body.Close()
+		last := events[len(events)-1]
+		if last.Kind != KindResult {
+			t.Fatalf("reps=%d: stream ends with %+v, want the result", reps, last)
+		}
+		ln.mu.Lock()
+		final := ln.writes[len(ln.writes)-1]
+		ln.mu.Unlock()
+		want := append(AppendSSE(nil, &last), "\r\n0\r\n\r\n"...)
+		if !bytes.HasSuffix(final, want) {
+			t.Fatalf("reps=%d: the last conn write is %q; want it to end with the result frame and the chunk terminator %q",
+				reps, final, want)
+		}
+	}
+}
+
+// TestServiceResultQuantilesMatchPercentile: for every rep count the
+// service accepts, the result's mean and quantiles are stats.Mean and
+// stats.Percentile of the reps its progress events report.
+func TestServiceResultQuantilesMatchPercentile(t *testing.T) {
+	svc, err := New(Config{
+		Resolve: func(spec JobSpec) (Runner, error) {
+			return func(rep int) error {
+				// Uneven rep times, so the quantiles interpolate.
+				for i := 0; i < (rep*7919)%13*100; i++ {
+					runtime.Gosched()
+				}
+				return nil
+			}, nil
+		},
+		Admission: AdmissionConfig{Servers: 1, TargetP99: 2 * time.Second,
+			InitialMeanService: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	for reps := 1; reps <= 64; reps++ {
+		body, _ := json.Marshal(JobSpec{Tenant: "acme", Kernel: "x", Reps: reps})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		var ns []float64
+		var res *ResultInfo
+		for _, e := range readStream(t, rec.Body) {
+			switch e.Kind {
+			case KindProgress:
+				ns = append(ns, float64(e.Rep.NS))
+			case KindResult:
+				res = e.Result
+			}
+		}
+		if res == nil || len(ns) != reps {
+			t.Fatalf("reps=%d: %d progress events, result %+v", reps, len(ns), res)
+		}
+		want := ResultInfo{Kernel: "x", Reps: reps, WaitNS: res.WaitNS, TotalNS: res.TotalNS,
+			MeanNS: int64(stats.Mean(ns)),
+			P50NS:  int64(stats.Percentile(ns, 50)),
+			P95NS:  int64(stats.Percentile(ns, 95)),
+			P99NS:  int64(stats.Percentile(ns, 99))}
+		if *res != want {
+			t.Fatalf("reps=%d: result %+v, want %+v", reps, *res, want)
+		}
+	}
+}
+
+// TestServiceBodyBound: bodies that do not fit the request buffer are
+// decoded as they always were, under the 64 KiB bound: a spec followed
+// by a long tail is read, and a spec that starts past the bound is
+// refused with encoding/json's error.
+func TestServiceBodyBound(t *testing.T) {
+	_, srv := testService(t, Config{})
+	spec, _ := json.Marshal(JobSpec{Tenant: "acme", Kernel: "smoke", Reps: 1})
+	pad := bytes.Repeat([]byte(" "), maxJobSpecBytes+1)
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		status int
+		text   string
+	}{
+		{"spec then a long tail", append(append([]byte(nil), spec...), pad...), http.StatusOK, ""},
+		{"spec after 600 bytes of space", append(bytes.Repeat([]byte(" "), 600), spec...), http.StatusOK, ""},
+		{"spec past the bound", append(append([]byte(nil), pad...), spec...), http.StatusBadRequest,
+			"bad job spec: http: request body too large"},
+		{"long tenant", []byte(`{"tenant":"` + strings.Repeat("t", 600) + `","kernel":"nope"}`),
+			http.StatusBadRequest, "unresolvable job: unknown kernel nope"},
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || c.text != "" && strings.TrimSpace(string(got)) != c.text {
+			t.Errorf("%s: status %d, body %.80q; want %d %q", c.name, resp.StatusCode, got, c.status, c.text)
+		}
 	}
 }

@@ -103,11 +103,18 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns NaN for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile of a slice already sorted ascending,
+// read in place: a caller that wants several percentiles of one sample
+// sorts it once.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -411,38 +411,33 @@ type series struct {
 	histogram   *Histogram
 }
 
-// labelKey joins label values into the series map key. 0x1F (unit
-// separator) cannot collide with escaped text boundaries in practice;
-// values containing it still map consistently.
-func labelKey(values []string) string {
-	if len(values) == 0 {
-		return ""
-	}
-	n := len(values) - 1
-	for _, v := range values {
-		n += len(v)
-	}
-	b := make([]byte, 0, n)
+// appendLabelKey appends the series map key of label values to b: the
+// values joined by 0x1F (unit separator), which cannot collide with
+// escaped text boundaries in practice; values containing it still map
+// consistently.
+func appendLabelKey(b []byte, values []string) []byte {
 	for i, v := range values {
 		if i > 0 {
 			b = append(b, 0x1F)
 		}
 		b = append(b, v...)
 	}
-	return string(b)
+	return b
 }
 
-// get returns the series for the label values, creating it on first use
-// (the only allocating step; callers cache the returned handle).
+// get returns the series for the label values, creating it on first use.
+// The key is built in a stack buffer, and the lookup does not copy it
+// into a string, so creating a series is the only allocating step.
 func (f *family) get(labelValues []string) *series {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("telemetry: %s expects %d label value(s), got %d",
 			f.name, len(f.labelNames), len(labelValues)))
 	}
-	key := labelKey(labelValues)
+	var stack [64]byte
+	key := appendLabelKey(stack[:0], labelValues)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s
 	}
 	s := &series{labelValues: append([]string(nil), labelValues...)}
@@ -454,8 +449,9 @@ func (f *family) get(labelValues []string) *series {
 	case KindHistogram:
 		s.histogram = newHistogram(f.minExp, f.maxExp)
 	}
-	f.keys = append(f.keys, key)
-	f.series[key] = s
+	k := string(key)
+	f.keys = append(f.keys, k)
+	f.series[k] = s
 	return s
 }
 
@@ -636,7 +632,8 @@ func (r *Registry) find(name string, kind Kind, labelValues []string) *series {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.series[labelKey(labelValues)]
+	var stack [64]byte
+	return f.series[string(appendLabelKey(stack[:0], labelValues))]
 }
 
 // FindHistogram returns the histogram series with the name and label

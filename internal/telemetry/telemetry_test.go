@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -184,6 +185,34 @@ func TestHotPathAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
+	}
+}
+
+// TestFamilyWithExistingSeriesAllocs: looking up a series that exists,
+// as perfengd does per admitted job for its tenant, allocates nothing;
+// only the first With of a label combination does.
+func TestFamilyWithExistingSeriesAllocs(t *testing.T) {
+	reg := NewRegistry()
+	cf := reg.CounterFamily("admitted", "", "tenant")
+	two := reg.GaugeFamily("g2", "", "a", "b")
+	long := strings.Repeat("x", 100) // a key past the stack buffer
+	cf.With("t3").Inc()
+	cf.With(long).Inc()
+	two.With("t3", "fft").Set(1)
+	for name, f := range map[string]func(){
+		"counter-family": func() { cf.With("t3").Inc() },
+		"two-labels":     func() { two.With("t3", "fft").Add(1) },
+		"find":           func() { reg.FindGauge("g2", "t3", "fft") },
+	} {
+		if a := testing.AllocsPerRun(1000, f); a != 0 {
+			t.Errorf("%s: %v allocs per With of an existing series, want 0", name, a)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { cf.With(long) }); a > 1 {
+		t.Errorf("long key: %v allocs per With of an existing series, want at most the key buffer's 1", a)
+	}
+	if n := cf.With("t3").Value(); n != 1002 {
+		t.Errorf("t3 counted %v, want 1002", n)
 	}
 }
 
